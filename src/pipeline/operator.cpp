@@ -22,9 +22,12 @@ WindowAggOp::WindowAggOp(std::string name, std::string time_column, Duration win
 
 Batch WindowAggOp::process(Batch in) {
   if (in.table.num_rows() > 0) {
-    const std::size_t tc = in.table.col_index(time_column_);
-    const sql::Column& times = in.table.column(tc);
-    // Route each row to its window's buffer.
+    const sql::Column& times = in.table.column(in.table.col_index(time_column_));
+    // Route row indices per window (rows of a batch mostly share a few
+    // windows, so the last hit is checked first), then move each window's
+    // rows with one typed append.
+    std::vector<std::pair<TimePoint, std::vector<std::size_t>>> routed;
+    std::size_t last = 0;
     for (std::size_t r = 0; r < in.table.num_rows(); ++r) {
       if (times.is_null(r)) continue;
       const TimePoint w = common::window_start(times.int_at(r), window_);
@@ -32,10 +35,16 @@ Batch WindowAggOp::process(Batch in) {
         ++late_dropped_;  // window already finalized: exactly-once emission
         continue;
       }
-      auto it = pending_.find(w);
-      if (it == pending_.end()) it = pending_.emplace(w, Table(in.table.schema())).first;
-      std::vector<sql::Value> row = in.table.row(r);
-      it->second.append_row(row);
+      if (last >= routed.size() || routed[last].first != w) {
+        last = 0;
+        while (last < routed.size() && routed[last].first != w) ++last;
+        if (last == routed.size()) routed.emplace_back(w, std::vector<std::size_t>{});
+      }
+      routed[last].second.push_back(r);
+    }
+    for (const auto& [w, rows] : routed) {
+      auto it = pending_.try_emplace(w, in.table.schema()).first;
+      it->second.append_rows(in.table, rows);
     }
   }
   return emit_ready(in.watermark);

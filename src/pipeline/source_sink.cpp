@@ -38,7 +38,13 @@ void LakeSink::append_rows(const Table& t) {
     key.metric = metric_;
     for (std::size_t i = 0; i < tag_idx.size(); ++i) {
       const auto& col = t.column(tag_idx[i]);
-      if (!col.is_null(r)) key.tags[tag_columns_[i]] = col.get(r).to_string();
+      if (col.is_null(r)) continue;
+      // Same text as Value::to_string, without boxing the common types.
+      switch (col.type()) {
+        case sql::DataType::kInt64: key.tags[tag_columns_[i]] = std::to_string(col.int_at(r)); break;
+        case sql::DataType::kString: key.tags[tag_columns_[i]] = col.str_at(r); break;
+        default: key.tags[tag_columns_[i]] = col.get(r).to_string(); break;
+      }
     }
     lake_.append(key, t.column(tc).int_at(r), t.column(vc).double_at(r));
   }
@@ -52,7 +58,9 @@ OceanSink::OceanSink(storage::ObjectStore& ocean, std::string dataset, storage::
       rows_per_object_(rows_per_object),
       retrier_(retry, /*seed=*/0x0cea2ull) {}
 
-void OceanSink::put_object(const Table& chunk) {
+void OceanSink::put_next(std::size_t n) {
+  Table chunk(buffer_.schema());
+  chunk.append_range(buffer_, head_, head_ + n);
   char name[32];
   std::snprintf(name, sizeof(name), "/part%06zu", part_);
   const std::string key = dataset_ + name;
@@ -61,30 +69,30 @@ void OceanSink::put_object(const Table& chunk) {
     chaos::fault_point("pipeline.sink");
     ocean_.put(key, blob, dataset_, class_, now_);
   });
-  ++part_;  // only after the put landed; a failed put keeps the key stable
+  // Only after the put landed; a failed put keeps the key and rows.
+  head_ += n;
+  ++part_;
+}
+
+void OceanSink::compact() {
+  if (head_ == 0) return;
+  Table rest(buffer_.schema());
+  rest.append_range(buffer_, head_, buffer_.num_rows());
+  buffer_ = std::move(rest);
+  head_ = 0;
 }
 
 void OceanSink::write(const Table& t) {
   if (t.num_rows() == 0) return;
   if (buffer_.num_columns() == 0) buffer_ = Table(t.schema());
   buffer_.append_table(t);
-  while (buffer_.num_rows() >= rows_per_object_) {
-    // Split off the first rows_per_object_ rows.
-    std::vector<std::size_t> head(rows_per_object_);
-    for (std::size_t i = 0; i < rows_per_object_; ++i) head[i] = i;
-    const Table chunk = buffer_.take(head);
-    std::vector<std::size_t> tail(buffer_.num_rows() - rows_per_object_);
-    for (std::size_t i = 0; i < tail.size(); ++i) tail[i] = rows_per_object_ + i;
-    buffer_ = buffer_.take(tail);
-
-    put_object(chunk);
-  }
+  while (buffer_.num_rows() - head_ >= rows_per_object_) put_next(rows_per_object_);
+  if (!in_batch_) compact();
 }
 
 void OceanSink::flush() {
-  if (buffer_.num_rows() == 0) return;
-  put_object(buffer_);
-  buffer_ = Table(buffer_.schema());
+  if (buffer_.num_rows() > head_) put_next(buffer_.num_rows() - head_);
+  if (!in_batch_) compact();
 }
 
 void TopicSink::write(const Table& t) {

@@ -192,33 +192,40 @@ class OceanSink final : public Sink {
   void write(const sql::Table& t) override;
   /// Flush any buffered remainder as a final (smaller) object.
   void flush() override;
+  /// The batch snapshot is (rows, head, part): rows already put as
+  /// objects stay in the buffer behind `head_` until commit, so rollback
+  /// is a truncate (O(batch)) and the replay re-produces the same chunks
+  /// under the same part keys.
   void begin_batch() override {
-    snap_buffer_ = buffer_;
+    snap_rows_ = buffer_.num_rows();
+    snap_head_ = head_;
     snap_part_ = part_;
     in_batch_ = true;
   }
   void commit_batch() override {
-    snap_buffer_ = sql::Table{};
+    compact();
     in_batch_ = false;
   }
   void rollback_batch() override {
-    // Restore buffer AND part counter: a chunk flushed mid-batch leaves
-    // the buffer, so a row-count snapshot alone could not reconstruct it.
-    // The replay re-produces the same chunks under the same part keys.
     if (in_batch_) {
-      buffer_ = std::move(snap_buffer_);
+      buffer_.truncate(snap_rows_);
+      head_ = snap_head_;
       part_ = snap_part_;
     }
-    snap_buffer_ = sql::Table{};
     in_batch_ = false;
   }
   std::size_t objects_written() const { return part_; }
+  /// Rows held in memory (after a commit: only those not yet put).
+  std::size_t buffered_rows() const { return buffer_.num_rows(); }
   /// Facility time used for object metadata (advance as the pipeline runs).
   void set_now(common::TimePoint now) { now_ = now; }
   const chaos::RetryStats& retry_stats() const { return retrier_.stats(); }
 
  private:
-  void put_object(const sql::Table& chunk);
+  /// Put rows [head_, head_ + n) as the next part.
+  void put_next(std::size_t n);
+  /// Drop the rows before head_ (outside a batch only).
+  void compact();
 
   storage::ObjectStore& ocean_;
   std::string dataset_;
@@ -226,9 +233,11 @@ class OceanSink final : public Sink {
   std::size_t rows_per_object_;
   chaos::Retrier retrier_;
   sql::Table buffer_;
+  std::size_t head_ = 0;  ///< rows before head_ are already in OCEAN
   std::size_t part_ = 0;
   common::TimePoint now_ = 0;
-  sql::Table snap_buffer_;
+  std::size_t snap_rows_ = 0;
+  std::size_t snap_head_ = 0;
   std::size_t snap_part_ = 0;
   bool in_batch_ = false;
 };

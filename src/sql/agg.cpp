@@ -48,7 +48,15 @@ struct AggState {
       ++count;
       return;
     }
-    const double x = v.as_double();
+    add_number(v.as_double(), kind);
+  }
+
+  /// A non-null numeric input of a numeric aggregate (count included).
+  void add_number(double x, AggKind kind) {
+    if (kind == AggKind::kCount) {
+      ++count;
+      return;
+    }
     if (count == 0) {
       min = max = x;
     } else {
@@ -133,44 +141,64 @@ Table group_by(const Table& t, std::span<const std::string> keys, std::span<cons
   key_cols.reserve(keys.size());
   for (const auto& k : keys) key_cols.push_back(t.col_index(k));
 
-  std::vector<std::size_t> agg_cols;
+  // Numeric aggregates over int64/float64 columns read the typed column;
+  // first/last/count_distinct and other input types go through Value.
+  enum class Input { kStar, kTyped, kBoxed };
+  std::vector<Input> inputs;
+  std::vector<const Column*> agg_cols;
+  inputs.reserve(aggs.size());
   agg_cols.reserve(aggs.size());
   for (const auto& a : aggs) {
-    agg_cols.push_back(a.column.empty() && a.kind == AggKind::kCount ? Schema::npos : t.col_index(a.column));
+    if (a.column.empty() && a.kind == AggKind::kCount) {
+      inputs.push_back(Input::kStar);
+      agg_cols.push_back(nullptr);
+      continue;
+    }
+    const Column& col = t.column(t.col_index(a.column));
+    const bool numeric_col = col.type() == DataType::kInt64 || col.type() == DataType::kFloat64;
+    const bool numeric_agg =
+        a.kind != AggKind::kFirst && a.kind != AggKind::kLast && a.kind != AggKind::kCountDistinct;
+    inputs.push_back(numeric_col && numeric_agg ? Input::kTyped : Input::kBoxed);
+    agg_cols.push_back(&col);
   }
 
-  struct Group {
-    std::size_t exemplar_row;
-    std::vector<AggState> states;
-  };
   std::unordered_map<std::string, std::size_t> index;
-  std::vector<Group> groups;
+  std::vector<std::size_t> exemplars;  // first row of each group, in first-seen order
+  std::vector<std::vector<AggState>> states;
   std::string buf;
   for (std::size_t i = 0; i < t.num_rows(); ++i) {
     encode_key(t, key_cols, i, buf);
-    auto [it, inserted] = index.emplace(buf, groups.size());
-    if (inserted) groups.push_back(Group{i, std::vector<AggState>(aggs.size())});
-    Group& g = groups[it->second];
+    auto [it, inserted] = index.try_emplace(buf, exemplars.size());
+    if (inserted) {
+      exemplars.push_back(i);
+      states.emplace_back(aggs.size());
+    }
+    std::vector<AggState>& g = states[it->second];
     for (std::size_t a = 0; a < aggs.size(); ++a) {
-      const Value v = agg_cols[a] == Schema::npos ? Value(std::int64_t{1}) : t.column(agg_cols[a]).get(i);
-      g.states[a].add(v, aggs[a].kind);
+      switch (inputs[a]) {
+        case Input::kStar: g[a].add_number(1.0, aggs[a].kind); break;
+        case Input::kTyped:
+          if (!agg_cols[a]->is_null(i)) g[a].add_number(agg_cols[a]->double_at(i), aggs[a].kind);
+          break;
+        case Input::kBoxed: g[a].add(agg_cols[a]->get(i), aggs[a].kind); break;
+      }
     }
   }
 
   Schema schema;
-  for (std::size_t k = 0; k < keys.size(); ++k) schema.add(t.schema().field(key_cols[k]));
-  for (const auto& a : aggs) schema.add({output_name(a), output_type(t, a)});
-
-  Table out(schema);
-  out.reserve(groups.size());
-  std::vector<Value> row(schema.size());
-  for (const auto& g : groups) {
-    std::size_t c = 0;
-    for (std::size_t kc : key_cols) row[c++] = t.column(kc).get(g.exemplar_row);
-    for (std::size_t a = 0; a < aggs.size(); ++a) row[c++] = g.states[a].result(aggs[a].kind);
-    out.append_row(row);
+  std::vector<Column> cols;
+  cols.reserve(keys.size() + aggs.size());
+  for (std::size_t kc : key_cols) {
+    schema.add(t.schema().field(kc));
+    cols.emplace_back(t.column(kc).type()).append_from(t.column(kc), exemplars);
   }
-  return out;
+  for (std::size_t a = 0; a < aggs.size(); ++a) {
+    schema.add({output_name(aggs[a]), output_type(t, aggs[a])});
+    Column& out = cols.emplace_back(schema.fields().back().type);
+    out.reserve(states.size());
+    for (const auto& g : states) out.append(g[a].result(aggs[a].kind));
+  }
+  return Table(std::move(schema), std::move(cols));
 }
 
 Table group_by(const Table& t, std::initializer_list<std::string> keys, std::initializer_list<AggSpec> aggs) {
@@ -183,20 +211,24 @@ Table window_aggregate(const Table& t, const std::string& time_column, common::D
                        const std::string& window_col) {
   const std::size_t tc = t.col_index(time_column);
   // Derive the window-start column without going through the expression
-  // tree (this is the hottest Bronze→Silver path).
+  // tree (this is the hottest Bronze→Silver path): typed column copies
+  // plus one computed int64 column.
   Schema schema = t.schema();
   schema.add({window_col, DataType::kInt64});
-  Table with_window(schema);
-  with_window.reserve(t.num_rows());
-  std::vector<Value> row(schema.size());
+  std::vector<Column> cols;
+  cols.reserve(schema.size());
+  for (std::size_t c = 0; c < t.num_columns(); ++c) cols.push_back(t.column(c));
+  const Column& time_col = t.column(tc);
+  Column& starts = cols.emplace_back(DataType::kInt64);
+  starts.reserve(t.num_rows());
   for (std::size_t r = 0; r < t.num_rows(); ++r) {
-    for (std::size_t c = 0; c < t.num_columns(); ++c) row[c] = t.column(c).get(r);
-    const Column& time_col = t.column(tc);
-    row.back() = time_col.is_null(r)
-                     ? Value::null()
-                     : Value(common::window_start(time_col.int_at(r), window));
-    with_window.append_row(row);
+    if (time_col.is_null(r)) {
+      starts.append_null();
+    } else {
+      starts.append_int(common::window_start(time_col.int_at(r), window));
+    }
   }
+  const Table with_window(std::move(schema), std::move(cols));
 
   std::vector<std::string> all_keys;
   all_keys.reserve(keys.size() + 1);
@@ -243,7 +275,7 @@ Table pivot_wider(const Table& t, std::span<const std::string> index_cols, const
   std::string buf;
   for (std::size_t i = 0; i < t.num_rows(); ++i) {
     encode_key(t, idx_cols, i, buf);
-    auto [it, inserted] = row_index.emplace(buf, rows.size());
+    auto [it, inserted] = row_index.try_emplace(buf, rows.size());
     if (inserted) rows.push_back(PivotRow{i, std::vector<Cell>(names.size())});
     if (t.column(name_col).is_null(i) || t.column(value_col).is_null(i)) continue;
     Cell& cell = rows[it->second].cells[name_index.at(t.column(name_col).str_at(i))];

@@ -19,21 +19,14 @@ Table filter(const Table& t, const ExprPtr& pred) {
 
 Table project(const Table& t, std::span<const std::string> columns) {
   Schema schema;
-  std::vector<std::size_t> src;
-  src.reserve(columns.size());
+  std::vector<Column> cols;
+  cols.reserve(columns.size());
   for (const auto& name : columns) {
     const std::size_t i = t.col_index(name);
     schema.add(t.schema().field(i));
-    src.push_back(i);
+    cols.push_back(t.column(i));
   }
-  Table out(schema);
-  out.reserve(t.num_rows());
-  std::vector<Value> row(columns.size());
-  for (std::size_t r = 0; r < t.num_rows(); ++r) {
-    for (std::size_t c = 0; c < src.size(); ++c) row[c] = t.column(src[c]).get(r);
-    out.append_row(row);
-  }
-  return out;
+  return Table(std::move(schema), std::move(cols));
 }
 
 Table project(const Table& t, std::initializer_list<std::string> columns) {
@@ -43,30 +36,23 @@ Table project(const Table& t, std::initializer_list<std::string> columns) {
 Table with_column(const Table& t, const std::string& name, DataType type, const ExprPtr& e) {
   Schema schema = t.schema();
   schema.add({name, type});
-  Table out(schema);
-  out.reserve(t.num_rows());
-  std::vector<Value> row(schema.size());
-  for (std::size_t r = 0; r < t.num_rows(); ++r) {
-    for (std::size_t c = 0; c + 1 < schema.size(); ++c) row[c] = t.column(c).get(r);
-    row.back() = e->eval(t, r);
-    out.append_row(row);
-  }
-  return out;
+  std::vector<Column> cols;
+  cols.reserve(schema.size());
+  for (std::size_t c = 0; c < t.num_columns(); ++c) cols.push_back(t.column(c));
+  Column computed(type);
+  computed.reserve(t.num_rows());
+  for (std::size_t r = 0; r < t.num_rows(); ++r) computed.append(e->eval(t, r));
+  cols.push_back(std::move(computed));
+  return Table(std::move(schema), std::move(cols));
 }
 
 Table rename_column(const Table& t, const std::string& from, const std::string& to) {
   std::vector<Field> fields = t.schema().fields();
-  const std::size_t i = t.col_index(from);
-  fields[i].name = to;
-  Table out{Schema(std::move(fields))};
-  // Copy data via row append (columns are identical types).
-  std::vector<Value> row(t.num_columns());
-  out.reserve(t.num_rows());
-  for (std::size_t r = 0; r < t.num_rows(); ++r) {
-    for (std::size_t c = 0; c < t.num_columns(); ++c) row[c] = t.column(c).get(r);
-    out.append_row(row);
-  }
-  return out;
+  fields[t.col_index(from)].name = to;
+  std::vector<Column> cols;
+  cols.reserve(t.num_columns());
+  for (std::size_t c = 0; c < t.num_columns(); ++c) cols.push_back(t.column(c));
+  return Table(Schema(std::move(fields)), std::move(cols));
 }
 
 Table sort_by(const Table& t, std::span<const SortKey> keys) {
@@ -147,7 +133,7 @@ Table distinct(const Table& t, std::span<const std::string> keys) {
   std::string buf;
   for (std::size_t i = 0; i < t.num_rows(); ++i) {
     encode_key(t, key_cols, i, buf);
-    if (seen.emplace(buf, true).second) keep.push_back(i);
+    if (seen.try_emplace(buf, true).second) keep.push_back(i);
   }
   return t.take(keep);
 }
@@ -213,6 +199,9 @@ Table hash_join(const Table& left, const Table& right, std::initializer_list<std
 Table concat(std::span<const Table> tables) {
   if (tables.empty()) return Table{};
   Table out(tables.front().schema());
+  std::size_t rows = 0;
+  for (const auto& t : tables) rows += t.num_rows();
+  out.reserve(rows);
   for (const auto& t : tables) out.append_table(t);
   return out;
 }

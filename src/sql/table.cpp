@@ -1,6 +1,7 @@
 #include "sql/table.hpp"
 
 #include <algorithm>
+#include <cstddef>
 #include <numeric>
 #include <sstream>
 #include <stdexcept>
@@ -79,6 +80,58 @@ void Column::append_bool(bool v) {
   if (type_ != DataType::kBool) throw std::runtime_error("Column: bool into non-bool column");
   bools_.push_back(v ? 1 : 0);
   valid_.push_back(1);
+}
+
+namespace {
+
+/// Also correct when `dst` and `src` are one vector: resize keeps the
+/// elements the indices read.
+template <class T>
+void gather(std::vector<T>& dst, const std::vector<T>& src, std::span<const std::size_t> indices) {
+  const std::size_t base = dst.size();
+  dst.resize(base + indices.size());
+  for (std::size_t k = 0; k < indices.size(); ++k) dst[base + k] = src[indices[k]];
+}
+
+template <class T>
+void copy_range(std::vector<T>& dst, const std::vector<T>& src, std::size_t lo, std::size_t hi) {
+  dst.insert(dst.end(), src.begin() + static_cast<std::ptrdiff_t>(lo),
+             src.begin() + static_cast<std::ptrdiff_t>(hi));
+}
+
+}  // namespace
+
+void Column::append_from(const Column& src, std::span<const std::size_t> indices) {
+  if (src.type_ != type_) throw std::invalid_argument("Column: type mismatch in append_from");
+  if (!indices.empty() && *std::max_element(indices.begin(), indices.end()) >= src.size()) {
+    throw std::out_of_range("Column: append_from index past the end");
+  }
+  gather(valid_, src.valid_, indices);
+  switch (type_) {
+    case DataType::kInt64: gather(ints_, src.ints_, indices); break;
+    case DataType::kFloat64: gather(doubles_, src.doubles_, indices); break;
+    case DataType::kString: gather(strings_, src.strings_, indices); break;
+    case DataType::kBool: gather(bools_, src.bools_, indices); break;
+    case DataType::kNull: break;
+  }
+}
+
+void Column::append_range(const Column& src, std::size_t lo, std::size_t hi) {
+  if (src.type_ != type_) throw std::invalid_argument("Column: type mismatch in append_range");
+  if (lo > hi || hi > src.size()) throw std::out_of_range("Column: append_range past the end");
+  if (&src == this) {
+    const Column copy = src;
+    append_range(copy, lo, hi);
+    return;
+  }
+  copy_range(valid_, src.valid_, lo, hi);
+  switch (type_) {
+    case DataType::kInt64: copy_range(ints_, src.ints_, lo, hi); break;
+    case DataType::kFloat64: copy_range(doubles_, src.doubles_, lo, hi); break;
+    case DataType::kString: copy_range(strings_, src.strings_, lo, hi); break;
+    case DataType::kBool: copy_range(bools_, src.bools_, lo, hi); break;
+    case DataType::kNull: break;
+  }
 }
 
 Value Column::get(std::size_t i) const {
@@ -160,23 +213,30 @@ void Table::append_row(std::initializer_list<Value> row) {
   append_row(std::span<const Value>(row.begin(), row.size()));
 }
 
-void Table::append_table(const Table& other) {
-  if (!(other.schema_ == schema_)) throw std::invalid_argument("Table: schema mismatch in append_table");
-  for (std::size_t r = 0; r < other.num_rows_; ++r) {
-    for (std::size_t c = 0; c < columns_.size(); ++c) {
-      columns_[c].append(other.columns_[c].get(r));
-    }
+void Table::append_rows(const Table& other, std::span<const std::size_t> indices) {
+  if (!(other.schema_ == schema_)) throw std::invalid_argument("Table: schema mismatch in append_rows");
+  for (std::size_t c = 0; c < columns_.size(); ++c) columns_[c].append_from(other.columns_[c], indices);
+  num_rows_ += indices.size();
+}
+
+void Table::append_range(const Table& other, std::size_t lo, std::size_t hi) {
+  if (!(other.schema_ == schema_)) throw std::invalid_argument("Table: schema mismatch in append_range");
+  if (lo > hi || hi > other.num_rows_) throw std::out_of_range("Table: append_range past the end");
+  for (std::size_t c = 0; c < columns_.size(); ++c) columns_[c].append_range(other.columns_[c], lo, hi);
+  num_rows_ += hi - lo;
+}
+
+void Table::sync_rows() {
+  const std::size_t n = columns_.empty() ? 0 : columns_.front().size();
+  for (const auto& c : columns_) {
+    if (c.size() != n) throw std::logic_error("Table: ragged columns after typed appends");
   }
-  num_rows_ += other.num_rows_;
+  num_rows_ = n;
 }
 
 Table Table::take(std::span<const std::size_t> indices) const {
   Table out(schema_);
-  out.reserve(indices.size());
-  for (std::size_t idx : indices) {
-    for (std::size_t c = 0; c < columns_.size(); ++c) out.columns_[c].append(columns_[c].get(idx));
-    ++out.num_rows_;
-  }
+  out.append_rows(*this, indices);
   return out;
 }
 

@@ -73,6 +73,13 @@ class Column {
   void append_string(std::string v);
   void append_bool(bool v);
 
+  /// Typed copies of `src`'s values (and nulls) at `indices` / in
+  /// [lo, hi), in order — no Value boxing. `src` must have this column's
+  /// type; throws std::invalid_argument otherwise and std::out_of_range
+  /// for a row past the end of `src`.
+  void append_from(const Column& src, std::span<const std::size_t> indices);
+  void append_range(const Column& src, std::size_t lo, std::size_t hi);
+
   Value get(std::size_t i) const;
   std::int64_t int_at(std::size_t i) const { return ints_[i]; }
   double double_at(std::size_t i) const {
@@ -126,8 +133,17 @@ class Table {
   void append_row(std::span<const Value> row);
   void append_row(std::initializer_list<Value> row);
 
+  /// Append the rows of `other` at `indices` / in [lo, hi), in order, as
+  /// typed column copies. Schemas must be equal (std::invalid_argument
+  /// otherwise). This is the hot-path row mover; append_row is the edge.
+  void append_rows(const Table& other, std::span<const std::size_t> indices);
+  void append_range(const Table& other, std::size_t lo, std::size_t hi);
   /// Append all rows of `other` (schemas must be equal).
-  void append_table(const Table& other);
+  void append_table(const Table& other) { append_range(other, 0, other.num_rows()); }
+
+  /// Re-derive num_rows() after typed appends through column_mut(): every
+  /// column must have grown to the same length (throws on ragged columns).
+  void sync_rows();
 
   /// Select a subset of rows by index, preserving order.
   Table take(std::span<const std::size_t> indices) const;

@@ -1,5 +1,8 @@
 #include "telemetry/codec.hpp"
 
+#include <stdexcept>
+#include <vector>
+
 #include "common/bytes.hpp"
 
 namespace oda::telemetry {
@@ -71,11 +74,41 @@ Schema bronze_schema() {
                 {"value", DataType::kFloat64}};
 }
 
+namespace {
+
+/// SensorId::label() of every encoded id, built once (about 2 MiB: no
+/// label is longer than 14 characters) and then read by all decoding
+/// threads.
+const std::string& sensor_label(std::uint16_t code) {
+  static const std::vector<std::string> labels = [] {
+    std::vector<std::string> v(std::size_t{1} << 16);
+    for (std::size_t c = 0; c < v.size(); ++c) {
+      v[c] = SensorId::decode(static_cast<std::uint16_t>(c)).label();
+    }
+    return v;
+  }();
+  return labels[code];
+}
+
+}  // namespace
+
 void append_packet_rows(const TelemetryPacket& pkt, Table& bronze) {
-  for (const auto& r : pkt.readings) {
-    bronze.append_row({Value(pkt.timestamp), Value(static_cast<std::int64_t>(pkt.node_id)),
-                       Value(SensorId::decode(r.sensor).label()), Value(r.value)});
+  if (bronze.num_columns() != 4 || bronze.column(0).type() != DataType::kInt64 ||
+      bronze.column(1).type() != DataType::kInt64 || bronze.column(2).type() != DataType::kString ||
+      bronze.column(3).type() != DataType::kFloat64) {
+    throw std::invalid_argument("append_packet_rows: table is not in the Bronze schema");
   }
+  sql::Column& times = bronze.column_mut(0);
+  sql::Column& nodes = bronze.column_mut(1);
+  sql::Column& sensors = bronze.column_mut(2);
+  sql::Column& values = bronze.column_mut(3);
+  for (const auto& r : pkt.readings) {
+    times.append_int(pkt.timestamp);
+    nodes.append_int(static_cast<std::int64_t>(pkt.node_id));
+    sensors.append_string(sensor_label(r.sensor));
+    values.append_double(r.value);
+  }
+  bronze.sync_rows();
 }
 
 Table packets_to_bronze(std::span<const stream::RecordView> records) {

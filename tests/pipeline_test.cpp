@@ -3,6 +3,8 @@
 // policy, sinks, and batch-vs-stream equivalence.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstdio>
 #include <stdexcept>
 
 #include "common/rng.hpp"
@@ -117,6 +119,62 @@ TEST(WindowAggOpTest, RollbackAfterEmissionReplaysWindow) {
   ASSERT_EQ(out.table.num_rows(), 1u);
   EXPECT_DOUBLE_EQ(out.table.column("s").double_at(0), 7.0);  // exactly once, not 14
   op.commit_batch();
+}
+
+TEST(WindowAggOpTest, InterleavedWindowsMatchWindowAggregateAndRollBack) {
+  const Schema schema{{"time", DataType::kInt64}, {"node", DataType::kInt64}, {"v", DataType::kFloat64}};
+  struct Reading {
+    int second;
+    int node;
+    double v;
+  };
+  const auto make = [&](std::initializer_list<Reading> rows) {
+    Table t{schema};
+    for (const auto& r : rows) {
+      t.append_row({Value(r.second * kSecond), Value(std::int64_t{r.node}), Value(r.v)});
+    }
+    return t;
+  };
+  const std::vector<std::string> keys{"node"};
+  const std::vector<sql::AggSpec> aggs{
+      {"v", sql::AggKind::kSum, "s"}, {"v", sql::AggKind::kMean, "m"}, {"v", sql::AggKind::kCount, "n"}};
+  WindowAggOp op("w", "time", 10 * kSecond, keys, aggs);
+
+  // Pre-batch state: window [20,30) already buffers two rows.
+  const Table pre = make({{21, 1, 1.0}, {25, 2, 2.0}});
+  op.begin_batch();
+  (void)op.process({pre, 0});
+  op.commit_batch();
+  const auto pre_state = op.checkpoint_state();
+
+  // One batch: rows of windows [0,10), [10,20) and [20,30), interleaved
+  // and out of time order.
+  const Table batch = make({{27, 1, 3.0}, {4, 2, 4.0}, {15, 1, 5.0}, {2, 1, 6.0},
+                            {22, 2, 7.0}, {11, 2, 8.0}, {9, 1, 9.0}, {13, 1, 10.0}});
+  // Reference: each window's rows in arrival order, aggregated by
+  // sql::window_aggregate, windows in start order.
+  std::vector<Table> per_window;
+  for (int w = 0; w < 3; ++w) {
+    Table part{schema};
+    for (const Table* t : {&pre, &batch}) {
+      for (std::size_t r = 0; r < t->num_rows(); ++r) {
+        if (t->column("time").int_at(r) / (10 * kSecond) == w) part.append_row(t->row(r));
+      }
+    }
+    per_window.push_back(sql::window_aggregate(part, "time", 10 * kSecond, keys, aggs));
+  }
+  const std::string want = sql::to_csv(sql::concat(per_window));
+
+  op.begin_batch();
+  EXPECT_EQ(sql::to_csv(op.process({batch, 40 * kSecond}).table), want);
+  op.rollback_batch();
+  EXPECT_EQ(op.pending_windows(), 1u);
+  EXPECT_EQ(op.checkpoint_state(), pre_state);  // pending rows, max-emitted and late count restored
+
+  op.begin_batch();
+  EXPECT_EQ(sql::to_csv(op.process({batch, 40 * kSecond}).table), want);
+  op.commit_batch();
+  EXPECT_EQ(op.pending_windows(), 0u);
 }
 
 TEST(WindowAggOpTest, CheckpointStateRoundTrips) {
@@ -317,6 +375,59 @@ TEST(SinkTest, OceanSinkChunksObjects) {
   EXPECT_EQ(total, 250u);
 }
 
+TEST(SinkTest, OceanSinkRollbackReplaysSamePartsAndBytes) {
+  storage::ObjectStore ocean;
+  OceanSink sink(ocean, "ds", storage::DataClass::kSilver, /*rows_per_object=*/100);
+  const auto rows = [](int lo, int hi) {
+    Table t{Schema{{"time", DataType::kInt64}, {"host", DataType::kString}, {"v", DataType::kFloat64}}};
+    for (int i = lo; i < hi; ++i) {
+      const Value host = i % 7 == 3 ? Value::null() : Value("n" + std::to_string(i % 5));
+      t.append_row({Value(std::int64_t{i}), host, Value(i * 0.5)});
+    }
+    return t;
+  };
+  const auto object = [&](std::size_t part) {
+    char name[32];
+    std::snprintf(name, sizeof(name), "ds/part%06zu", part);
+    return ocean.get(name);
+  };
+
+  sink.begin_batch();
+  sink.write(rows(0, 60));
+  sink.commit_batch();
+  EXPECT_EQ(sink.objects_written(), 0u);
+
+  // A batch that puts two objects mid-batch, then fails downstream.
+  sink.begin_batch();
+  sink.write(rows(60, 140));
+  EXPECT_EQ(sink.objects_written(), 1u);
+  sink.write(rows(140, 230));
+  ASSERT_EQ(sink.objects_written(), 2u);
+  const auto part0 = object(0), part1 = object(1);
+  ASSERT_TRUE(part0 && part1);
+  EXPECT_EQ(*part0, storage::write_columnar(rows(0, 100)));
+  EXPECT_EQ(*part1, storage::write_columnar(rows(100, 200)));
+  sink.rollback_batch();
+  EXPECT_EQ(sink.objects_written(), 0u);
+  EXPECT_EQ(sink.buffered_rows(), 60u);
+
+  // The replay re-puts the same part keys with the same bytes.
+  sink.begin_batch();
+  sink.write(rows(60, 140));
+  sink.write(rows(140, 230));
+  sink.commit_batch();
+  EXPECT_EQ(sink.objects_written(), 2u);
+  EXPECT_EQ(ocean.list("ds").size(), 2u);
+  EXPECT_EQ(object(0), part0);
+  EXPECT_EQ(object(1), part1);
+  EXPECT_EQ(sink.buffered_rows(), 30u);  // only the unflushed tail survives commit
+
+  sink.flush();
+  EXPECT_EQ(sink.buffered_rows(), 0u);
+  ASSERT_TRUE(object(2));
+  EXPECT_EQ(*object(2), storage::write_columnar(rows(200, 230)));
+}
+
 TEST(SinkTest, LakeSinkWritesTaggedSeries) {
   storage::TimeSeriesDb lake;
   LakeSink sink(lake, "m", "time", "v", {"node"});
@@ -327,6 +438,32 @@ TEST(SinkTest, LakeSinkWritesTaggedSeries) {
   sink.write(t);
   EXPECT_EQ(lake.series_count(), 2u);
   EXPECT_EQ(lake.point_count(), 2u);
+}
+
+TEST(SinkTest, LakeSinkTagTextMatchesValueToString) {
+  storage::TimeSeriesDb lake;
+  LakeSink sink(lake, "m", "time", "v", {"node", "host", "w", "up"});
+  Table t{Schema{{"time", DataType::kInt64},
+                 {"node", DataType::kInt64},
+                 {"host", DataType::kString},
+                 {"w", DataType::kFloat64},
+                 {"up", DataType::kBool},
+                 {"v", DataType::kFloat64}}};
+  t.append_row({Value(std::int64_t{1}), Value(std::int64_t{-42}), Value("h,1"), Value(0.1), Value(true),
+                Value(1.0)});
+  t.append_row({Value(std::int64_t{2}), Value(std::int64_t{7}), Value::null(), Value(2.5e9),
+                Value::null(), Value(2.0)});
+  sink.write(t);
+  const auto keys = lake.matched_keys("m", {});
+  ASSERT_EQ(keys.size(), 2u);
+  std::vector<std::map<std::string, std::string>> tags{keys[0].tags, keys[1].tags};
+  const std::map<std::string, std::string> first{{"node", Value(std::int64_t{-42}).to_string()},
+                                                 {"host", "h,1"},
+                                                 {"w", Value(0.1).to_string()},
+                                                 {"up", Value(true).to_string()}};
+  const std::map<std::string, std::string> second{{"node", "7"}, {"w", Value(2.5e9).to_string()}};
+  EXPECT_NE(std::find(tags.begin(), tags.end(), first), tags.end());
+  EXPECT_NE(std::find(tags.begin(), tags.end(), second), tags.end());
 }
 
 TEST(SinkTest, TopicSinkRoundTripsThroughDecoder) {

@@ -5,6 +5,7 @@
 #include <cmath>
 
 #include "common/rng.hpp"
+#include "common/stats.hpp"
 #include "sql/agg.hpp"
 #include "sql/ops.hpp"
 
@@ -85,6 +86,132 @@ TEST(GroupByTest, NullKeysGroupTogether) {
   const Table g = group_by(t, {"k"}, {AggSpec{"v", AggKind::kSum, "s"}});
   ASSERT_EQ(g.num_rows(), 2u);
   EXPECT_DOUBLE_EQ(g.column("s").double_at(0), 3.0);  // null group first-seen
+}
+
+// ---- typed numeric aggregates equal a boxed (Value) oracle ----
+
+/// Key "k" (string, one null-key group) and numeric columns "i" (int64)
+/// and "f" (float64), both with interleaved nulls. Groups in first-seen
+/// order: c, a, <null>, b, d. Group d has one non-null "f" (std n<2) and
+/// group b has no non-null "i".
+Table numeric_groups() {
+  Table t{Schema{{"k", DataType::kString}, {"i", DataType::kInt64}, {"f", DataType::kFloat64}}};
+  const Value null = Value::null();
+  t.append_row({Value("c"), Value(std::int64_t{7}), Value(0.5)});
+  t.append_row({Value("a"), null, Value(-2.25)});
+  t.append_row({null, Value(std::int64_t{-3}), null});
+  t.append_row({Value("c"), Value(std::int64_t{1}), null});
+  t.append_row({Value("b"), null, Value(3.0)});
+  t.append_row({Value("a"), Value(std::int64_t{40}), Value(1.0e6)});
+  t.append_row({Value("c"), Value(std::int64_t{-9}), Value(2.75)});
+  t.append_row({Value("d"), Value(std::int64_t{5}), Value(8.0)});
+  t.append_row({Value("b"), null, Value(3.5)});
+  t.append_row({Value("c"), null, Value(-0.125)});
+  t.append_row({null, Value(std::int64_t{11}), Value(4.0)});
+  t.append_row({Value("a"), Value(std::int64_t{2}), Value(6.5)});
+  t.append_row({Value("c"), Value(std::int64_t{4}), Value(9.0)});
+  return t;
+}
+
+/// The aggregate over the non-null Values of `column`, computed from
+/// boxed rows the way the Value path defines it.
+Value boxed_agg(const std::vector<Value>& vals, AggKind kind) {
+  std::vector<double> xs;
+  for (const auto& v : vals) {
+    if (!v.is_null()) xs.push_back(v.as_double());
+  }
+  if (kind == AggKind::kCount) return Value(static_cast<std::int64_t>(xs.size()));
+  if (xs.empty()) return Value::null();
+  double sum = 0.0, sumsq = 0.0, mn = xs[0], mx = xs[0];
+  for (double x : xs) {
+    sum += x;
+    sumsq += x * x;
+    mn = std::min(mn, x);
+    mx = std::max(mx, x);
+  }
+  const double n = static_cast<double>(xs.size());
+  switch (kind) {
+    case AggKind::kSum: return Value(sum);
+    case AggKind::kMean: return Value(sum / n);
+    case AggKind::kMin: return Value(mn);
+    case AggKind::kMax: return Value(mx);
+    case AggKind::kStd:
+      return Value(xs.size() < 2 ? 0.0 : std::sqrt(std::max(0.0, (sumsq - sum * sum / n) / (n - 1))));
+    case AggKind::kP50: return Value(common::exact_quantile(xs, 0.50));
+    case AggKind::kP95: return Value(common::exact_quantile(xs, 0.95));
+    default: throw std::logic_error("not a numeric aggregate");
+  }
+}
+
+TEST(GroupByTypedTest, NumericAggregatesEqualBoxedOracle) {
+  const Table t = numeric_groups();
+  const std::vector<AggKind> kinds{AggKind::kSum, AggKind::kMean, AggKind::kMin, AggKind::kMax,
+                                   AggKind::kCount, AggKind::kStd, AggKind::kP50, AggKind::kP95};
+  std::vector<AggSpec> aggs;
+  for (const char* col : {"i", "f"}) {
+    for (AggKind k : kinds) aggs.push_back(AggSpec{col, k, ""});
+  }
+  aggs.push_back(AggSpec{"", AggKind::kCount, "rows"});
+  const std::vector<std::string> keys{"k"};
+  const Table g = group_by(t, keys, aggs);
+
+  // Oracle: group boxed rows in first-seen order.
+  std::vector<Value> order;
+  std::vector<std::vector<std::vector<Value>>> cols;  // group -> column(i,f) -> values
+  for (std::size_t r = 0; r < t.num_rows(); ++r) {
+    const std::vector<Value> row = t.row(r);
+    std::size_t gi = 0;
+    while (gi < order.size() && order[gi] != row[0]) ++gi;
+    if (gi == order.size()) {
+      order.push_back(row[0]);
+      cols.emplace_back(2);
+    }
+    cols[gi][0].push_back(row[1]);
+    cols[gi][1].push_back(row[2]);
+  }
+  Table want{g.schema()};
+  for (std::size_t gi = 0; gi < order.size(); ++gi) {
+    std::vector<Value> row{order[gi]};
+    for (std::size_t c = 0; c < 2; ++c) {
+      for (AggKind k : kinds) row.push_back(boxed_agg(cols[gi][c], k));
+    }
+    row.push_back(Value(static_cast<std::int64_t>(cols[gi][0].size())));
+    want.append_row(row);
+  }
+  EXPECT_EQ(to_csv(g), to_csv(want));
+
+  // First-seen group order, and the edge groups spelled out.
+  ASSERT_EQ(g.num_rows(), 5u);
+  EXPECT_EQ(g.column("k").str_at(0), "c");
+  EXPECT_EQ(g.column("k").str_at(1), "a");
+  EXPECT_TRUE(g.column("k").is_null(2));
+  EXPECT_EQ(g.column("k").str_at(3), "b");
+  EXPECT_EQ(g.column("k").str_at(4), "d");
+  EXPECT_EQ(g.column("count_i").int_at(0), 4);  // count(col) skips nulls...
+  EXPECT_EQ(g.column("rows").int_at(0), 5);     // ...count(*) does not
+  EXPECT_EQ(g.column("count_i").int_at(3), 0);
+  EXPECT_TRUE(g.column("sum_i").is_null(3));  // no non-null input
+  EXPECT_TRUE(g.column("std_i").is_null(3));
+  EXPECT_DOUBLE_EQ(g.column("std_f").double_at(4), 0.0);  // n < 2
+  EXPECT_DOUBLE_EQ(g.column("sum_i").double_at(0), 3.0);  // 7 + 1 - 9 + 4
+}
+
+TEST(GroupByTypedTest, FirstLastCountDistinctStayBoxed) {
+  const Table t = numeric_groups();
+  const Table g = group_by(t, {"k"},
+                           {AggSpec{"i", AggKind::kFirst, "fi"},
+                            AggSpec{"i", AggKind::kLast, "li"},
+                            AggSpec{"f", AggKind::kFirst, "ff"},
+                            AggSpec{"i", AggKind::kCountDistinct, "di"},
+                            AggSpec{"k", AggKind::kCount, "nk"}});
+  EXPECT_EQ(g.schema().field(1).type, DataType::kInt64);  // first/last keep the input type
+  EXPECT_EQ(to_csv(g),
+            "k,fi,li,ff,di,nk\n"
+            "c,7,4,0.5,4,5\n"
+            "a,40,2,-2.25,2,3\n"
+            ",-3,11,4,2,0\n"
+            "b,,,3,0,2\n"
+            "d,5,5,8,1,1\n");
 }
 
 TEST(WindowAggregateTest, FifteenSecondWindows) {

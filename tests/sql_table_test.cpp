@@ -1,6 +1,7 @@
 // Unit tests for the columnar Table/Schema/Column/Value layer.
 #include <gtest/gtest.h>
 
+#include "sql/ops.hpp"
 #include "sql/table.hpp"
 
 namespace oda::sql {
@@ -166,6 +167,127 @@ TEST(TableMemoryTest, MemoryGrowsWithRows) {
   const std::size_t before = t.memory_bytes();
   for (int i = 0; i < 10000; ++i) t.append_row({Value(1.0)});
   EXPECT_GT(t.memory_bytes(), before + 10000 * sizeof(double) / 2);
+}
+
+// --- typed row movers (append_rows / append_range / append_table / take /
+// concat) must equal the same rows appended through append_row(Value...).
+
+Table all_types() {
+  Table t{Schema{{"i", DataType::kInt64},
+                 {"f", DataType::kFloat64},
+                 {"s", DataType::kString},
+                 {"b", DataType::kBool}}};
+  for (int r = 0; r < 9; ++r) {
+    // Each column is null on a different stride so nulls interleave.
+    t.append_row({r % 3 == 1 ? Value::null() : Value(std::int64_t{r * 10 - 7}),
+                  r % 4 == 2 ? Value::null() : Value(r * 0.25 - 1.0),
+                  r % 5 == 3 ? Value::null() : Value("s,\"" + std::to_string(r)),
+                  r % 2 == 1 ? Value::null() : Value(r % 4 == 0)});
+  }
+  return t;
+}
+
+Table boxed_rows(const Table& src, std::span<const std::size_t> indices) {
+  Table out{src.schema()};
+  for (std::size_t i : indices) out.append_row(src.row(i));
+  return out;
+}
+
+void expect_same_rows(const Table& got, const Table& want) {
+  EXPECT_EQ(to_csv(got), to_csv(want));
+  ASSERT_EQ(got.num_rows(), want.num_rows());
+  for (std::size_t c = 0; c < want.num_columns(); ++c) {
+    for (std::size_t r = 0; r < want.num_rows(); ++r) {
+      EXPECT_EQ(got.column(c).is_null(r), want.column(c).is_null(r)) << "col " << c << " row " << r;
+    }
+  }
+}
+
+TEST(TypedCopyTest, AppendRowsMatchesValueAppends) {
+  const Table src = all_types();
+  const std::vector<std::size_t> idx{5, 0, 3, 3, 8, 1};
+  Table got{src.schema()};
+  got.append_rows(src, idx);
+  expect_same_rows(got, boxed_rows(src, idx));
+  expect_same_rows(src.take(idx), boxed_rows(src, idx));
+}
+
+TEST(TypedCopyTest, AppendRangeAndTableMatchValueAppends) {
+  const Table src = all_types();
+  Table got{src.schema()};
+  got.append_range(src, 2, 7);
+  got.append_table(src);
+  std::vector<std::size_t> idx{2, 3, 4, 5, 6};
+  for (std::size_t i = 0; i < src.num_rows(); ++i) idx.push_back(i);
+  expect_same_rows(got, boxed_rows(src, idx));
+}
+
+TEST(TypedCopyTest, ConcatMatchesValueAppends) {
+  const Table src = all_types();
+  const std::vector<std::size_t> a_idx{1, 2, 3}, b_idx{8, 0};
+  const std::vector<Table> parts{src.take(a_idx), Table{src.schema()}, src.take(b_idx)};
+  const std::vector<std::size_t> all{1, 2, 3, 8, 0};
+  expect_same_rows(concat(parts), boxed_rows(src, all));
+}
+
+TEST(TypedCopyTest, SelfAppendCopiesTheRowsBeforeTheAppend) {
+  Table t = all_types();
+  const Table before = t;
+  t.append_table(t);
+  const std::vector<std::size_t> picks{8, 2, 0};
+  t.append_rows(t, picks);
+  std::vector<std::size_t> idx;
+  for (int pass = 0; pass < 2; ++pass) {
+    for (std::size_t i = 0; i < before.num_rows(); ++i) idx.push_back(i);
+  }
+  idx.insert(idx.end(), picks.begin(), picks.end());
+  expect_same_rows(t, boxed_rows(before, idx));
+}
+
+TEST(TypedCopyTest, EmptyRangesAndIndexListsAppendNothing) {
+  const Table src = all_types();
+  Table got{src.schema()};
+  got.append_range(src, 4, 4);
+  got.append_range(src, src.num_rows(), src.num_rows());
+  got.append_rows(src, std::span<const std::size_t>{});
+  EXPECT_TRUE(got.empty());
+  EXPECT_EQ(got.schema(), src.schema());
+  EXPECT_TRUE(src.take(std::span<const std::size_t>{}).empty());
+  EXPECT_TRUE(Table{src.schema()}.take(std::span<const std::size_t>{}).empty());
+}
+
+TEST(TypedCopyTest, MismatchesAndOutOfRangeThrow) {
+  const Table src = all_types();
+  Table other{Schema{{"i", DataType::kInt64}}};
+  EXPECT_THROW(other.append_rows(src, std::vector<std::size_t>{0}), std::invalid_argument);
+  EXPECT_THROW(other.append_range(src, 0, 1), std::invalid_argument);
+  EXPECT_THROW(other.append_table(src), std::invalid_argument);
+  // Same column types under another name is still a different schema.
+  Table renamed{Schema{{"j", DataType::kInt64},
+                       {"f", DataType::kFloat64},
+                       {"s", DataType::kString},
+                       {"b", DataType::kBool}}};
+  EXPECT_THROW(renamed.append_table(src), std::invalid_argument);
+
+  Table same{src.schema()};
+  EXPECT_THROW(same.append_range(src, 3, src.num_rows() + 1), std::out_of_range);
+  EXPECT_THROW(same.append_range(src, 5, 4), std::out_of_range);
+  EXPECT_THROW(same.append_rows(src, std::vector<std::size_t>{0, src.num_rows()}), std::out_of_range);
+
+  Column ints(DataType::kInt64);
+  EXPECT_THROW(ints.append_from(Column(DataType::kFloat64), std::vector<std::size_t>{}),
+               std::invalid_argument);
+  EXPECT_THROW(ints.append_range(Column(DataType::kString), 0, 0), std::invalid_argument);
+}
+
+TEST(TypedCopyTest, SyncRowsAfterColumnAppends) {
+  Table t{Schema{{"i", DataType::kInt64}, {"f", DataType::kFloat64}}};
+  t.column_mut(0).append_int(4);
+  t.column_mut(1).append_null();
+  t.sync_rows();
+  EXPECT_EQ(t.num_rows(), 1u);
+  t.column_mut(0).append_int(5);
+  EXPECT_THROW(t.sync_rows(), std::logic_error);
 }
 
 }  // namespace

@@ -5,7 +5,6 @@
 #include <algorithm>
 #include <cstdio>
 #include <memory>
-#include <span>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -13,12 +12,9 @@
 #include "bench_util.hpp"
 #include "common/stats.hpp"
 #include "common/time.hpp"
-#include "engine/engine.hpp"
 #include "observe/metrics.hpp"
 #include "observe/scraper.hpp"
-#include "pipeline/query.hpp"
 #include "pipeline/self_telemetry.hpp"
-#include "pipeline/source_sink.hpp"
 #include "sql/table.hpp"
 #include "stream/broker.hpp"
 #include "telemetry/simulator.hpp"
@@ -459,68 +455,6 @@ void consume_view_vs_copy(oda::bench::JsonReport& report, bool smoke) {
                 copy.allocs_per_record / view.allocs_per_record, "x");
 }
 
-/// Partition-parallel ingest through the engine: the same windowed query
-/// drains the same pre-filled topic at 1, 2, 4 and 8 workers. Committed
-/// output is worker-count invariant (engine_test proves byte identity),
-/// so the only thing that may change with workers is the rate reported
-/// here. Speedup saturates at min(workers, partitions, hardware cores).
-void engine_scaling(oda::bench::JsonReport& report, bool smoke) {
-  using namespace oda;
-  constexpr std::size_t kPartitions = 8;
-  const std::size_t kRecords = smoke ? 60000 : 200000;
-  constexpr std::size_t kBatch = 1024;
-
-  const auto decode = [](std::span<const stream::RecordView> records) {
-    sql::Table t{sql::Schema{{"time", sql::DataType::kInt64},
-                             {"node", sql::DataType::kString},
-                             {"value", sql::DataType::kFloat64}}};
-    for (const auto& v : records) {
-      t.append_row({sql::Value(v.timestamp), sql::Value(std::string(v.key)),
-                    sql::Value(static_cast<double>(v.payload.size()))});
-    }
-    return t;
-  };
-
-  std::printf("\nengine partition-parallel ingest (%zu records, %zu partitions):\n",
-              kRecords, kPartitions);
-  std::printf("%8s %14s %10s %8s %8s\n", "workers", "rate", "wall", "speedup", "rounds");
-  double base_rate = 0.0;
-  for (const std::size_t workers : {1, 2, 4, 8}) {
-    stream::Broker broker;
-    broker.create_topic("scale", stream::TopicConfig{}.with_partitions(kPartitions));
-    stream::Producer producer = broker.producer("scale");
-    for (std::size_t i = 0; i < kRecords; i += kBatch) {
-      std::vector<stream::Record> batch;
-      batch.reserve(kBatch);
-      for (std::size_t j = i; j < std::min(i + kBatch, kRecords); ++j) {
-        stream::Record r;
-        r.timestamp = static_cast<common::TimePoint>(j) * common::kSecond / 64;
-        r.key = "n" + std::to_string(j % 512);
-        r.payload.assign(64 + j % 128, 'x');
-        batch.push_back(std::move(r));
-      }
-      producer.produce_batch(std::move(batch));
-    }
-
-    engine::Engine eng(engine::EngineConfig{}.with_workers(workers));
-    auto& q = eng.add_query(
-        pipeline::QueryConfig{}.with_name("scale.ingest").with_batch_size(16384),
-        engine::SourceSpec{&broker, "scale", "scale-group", decode});
-    q.add_sink(std::make_unique<pipeline::TableSink>());
-    eng.run_until_caught_up();
-
-    const engine::EngineStats stats = eng.stats();
-    const double rate = static_cast<double>(stats.rows) / stats.wall_seconds;
-    if (workers == 1) base_rate = rate;
-    std::printf("%8zu %11.0fk/s %9.3fs %7.2fx %8llu\n", workers, rate / 1e3,
-                stats.wall_seconds, rate / base_rate,
-                static_cast<unsigned long long>(stats.rounds));
-    const std::string suffix = "workers_" + std::to_string(workers);
-    report.metric("engine.ingest.rate." + suffix, rate, "records/s");
-    report.metric("engine.ingest.speedup." + suffix, rate / base_rate, "x");
-  }
-}
-
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -544,7 +478,6 @@ int main(int argc, char** argv) {
   const double batch_speedup = broker_throughput(report, smoke);
   scraper_overhead(report, smoke);
   consume_view_vs_copy(report, smoke);
-  engine_scaling(report, smoke);
   report.write();
   // Regression gate: oda_bench_smoke runs as part of the default build,
   // so a write path whose batched produce falls back below the per-record

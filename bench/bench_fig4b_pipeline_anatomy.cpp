@@ -7,7 +7,7 @@
 
 #include "bench_util.hpp"
 #include "common/stats.hpp"
-#include "pipeline/query.hpp"
+#include "engine/engine.hpp"
 #include "sql/agg.hpp"
 #include "sql/expr.hpp"
 #include "sql/ops.hpp"
@@ -31,13 +31,16 @@ int main() {
   pipeline::QueryConfig qc;
   qc.name = "full_anatomy";
   qc.max_records_per_batch = 8192;
-  auto query = std::make_unique<pipeline::StreamingQuery>(
-      qc, std::make_unique<pipeline::BrokerSource>(fw.broker(), topics.power, "anatomy",
-                                                   telemetry::packets_to_bronze));
-  query->add_operator(std::make_unique<pipeline::WindowAggOp>(
-      "GROUP BY window (Bronze->Silver)", "time", 15 * common::kSecond,
-      std::vector<std::string>{"node_id", "sensor"},
-      std::vector<sql::AggSpec>{{"value", sql::AggKind::kMean, "mean_value"}}));
+  auto query = std::make_unique<engine::Query>(
+      qc,
+      engine::SourceSpec{&fw.broker(), topics.power, "anatomy", telemetry::packets_to_bronze},
+      core::OdaFramework::kQueryWorkers);
+  query->add_operator([] {
+    return std::make_unique<pipeline::WindowAggOp>(
+        "GROUP BY window (Bronze->Silver)", "time", 15 * common::kSecond,
+        std::vector<std::string>{"node_id", "sensor"},
+        std::vector<sql::AggSpec>{{"value", sql::AggKind::kMean, "mean_value"}});
+  });
   query->add_transform("PIVOT wide (Silver)", storage::DataClass::kSilver, [](const Table& t) {
     return sql::pivot_wider(t, {"window_start", "node_id"}, "sensor", "mean_value");
   });

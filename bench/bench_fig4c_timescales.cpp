@@ -9,7 +9,7 @@
 #include "bench_util.hpp"
 #include "common/stats.hpp"
 #include "core/control_loop.hpp"
-#include "pipeline/query.hpp"
+#include "engine/engine.hpp"
 #include "sql/agg.hpp"
 #include "telemetry/codec.hpp"
 
@@ -24,12 +24,14 @@ double measured_latency_s(oda::common::Duration window) {
   const auto topics = rig.sys->topics();
   pipeline::QueryConfig qc;
   qc.name = "loop_probe";
-  auto q = std::make_unique<pipeline::StreamingQuery>(
-      qc, std::make_unique<pipeline::BrokerSource>(fw.broker(), topics.power, "probe",
-                                                   telemetry::packets_to_bronze));
-  q->add_operator(std::make_unique<pipeline::WindowAggOp>(
-      "window", "time", window, std::vector<std::string>{"node_id", "sensor"},
-      std::vector<sql::AggSpec>{{"value", sql::AggKind::kMean, "mean_value"}}));
+  auto q = std::make_unique<engine::Query>(
+      qc, engine::SourceSpec{&fw.broker(), topics.power, "probe", telemetry::packets_to_bronze},
+      core::OdaFramework::kQueryWorkers);
+  q->add_operator([window] {
+    return std::make_unique<pipeline::WindowAggOp>(
+        "window", "time", window, std::vector<std::string>{"node_id", "sensor"},
+        std::vector<sql::AggSpec>{{"value", sql::AggKind::kMean, "mean_value"}});
+  });
   auto& query = fw.register_query(std::move(q));
 
   fw.advance(std::max<common::Duration>(4 * window, 2 * common::kMinute));

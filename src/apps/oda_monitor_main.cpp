@@ -11,6 +11,7 @@
 #include <fstream>
 #include <iostream>
 #include <iterator>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -288,12 +289,16 @@ int main(int argc, char** argv) {
                               oda::telemetry::packets_to_bronze});
   mirror.add_sink(std::make_unique<oda::pipeline::TableSink>());
   // A flight dump of a clean run is a boring flight dump: when one was
-  // asked for, fail the first generation so the timeline shows the fault
-  // instant, the rollback, and the byte-identical replay.
-  if (!flight_dump_path.empty()) {
-    mirror.set_fault_plan(oda::pipeline::FaultPlan{.fail_on_batch = 0});
+  // asked for, fail the first generation once (a transient fault at the
+  // "pipeline.batch" seam) so the timeline shows the fault instant, the
+  // rollback, and the byte-identical replay.
+  {
+    oda::chaos::FaultPlan fail_first(0xf11);
+    fail_first.configure("pipeline.batch", {.transient_p = 1.0, .max_faults = 1});
+    std::optional<oda::chaos::ScopedFaultPlan> scoped_plan;
+    if (!flight_dump_path.empty()) scoped_plan.emplace(fail_first);
+    engine.run_until_caught_up();
   }
-  engine.run_until_caught_up();
   monitor.watch_query(mirror);
   monitor.watch_engine(engine);
 

@@ -164,8 +164,10 @@ class ByteReader {
     pos_ += sizeof(T);
     return v;
   }
+  /// Compares against the bytes left rather than computing pos_ + n,
+  /// which wraps for a forged length near 2^64.
   void check(std::uint64_t n) const {
-    if (pos_ + n > data_.size()) throw std::out_of_range("ByteReader: read past end");
+    if (n > data_.size() - pos_) throw std::out_of_range("ByteReader: read past end");
   }
 
   std::span<const std::uint8_t> data_;

@@ -21,7 +21,7 @@
 //   ocean.get          ObjectStore::get
 //   tiers.migrate      TierManager OCEAN->GLACIER migration unit
 //   telemetry.collect  CollectionChannel delivery (collector -> broker)
-//   pipeline.batch     StreamingQuery micro-batch body
+//   pipeline.batch     engine::Query micro-batch body (after the fetch)
 //   pipeline.sink      OceanSink / TopicSink external writes
 //
 // Sites fail *before* their side effect (a rejected/timed-out request),

@@ -5,6 +5,7 @@
 #include <optional>
 #include <stdexcept>
 
+#include "common/bytes.hpp"
 #include "common/stats.hpp"
 
 namespace oda::engine {
@@ -330,6 +331,15 @@ void Query::operate_lanes(std::size_t w) {
     if (lane.pulled == 0) continue;  // idle lane: state untouched this batch
     pipeline::Batch b{std::move(lane.table), op_watermark_};
     for (std::size_t i = 0; i < lane.ops.size(); ++i) {
+      // One span per operator, a child of the batch span: worker 0 runs
+      // on the driver thread under the open batch span, thread workers
+      // carry the batch context over (as in fetch_lanes).
+      std::optional<observe::Span> span;
+      if (w == 0) {
+        span.emplace(lane.ops[i]->name());
+      } else {
+        span.emplace(lane.ops[i]->name(), batch_ctx_);
+      }
       Stopwatch sw;
       const std::uint64_t in_rows = b.table.num_rows();
       b = lane.ops[i]->process(std::move(b));
@@ -396,6 +406,8 @@ sql::Table Query::merge_lanes() {
   // The deterministic merge point: ascending partition index, offsets
   // already ascending within each lane. Which worker ran a lane is
   // invisible here.
+  std::size_t total = 0;
+  for (const Lane& lane : lanes_) total += lane.table.num_rows();
   sql::Table out;
   for (Lane& lane : lanes_) {
     if (lane.table.num_rows() == 0) {
@@ -404,6 +416,7 @@ sql::Table Query::merge_lanes() {
     }
     if (out.num_columns() == 0) {
       out = std::move(lane.table);
+      out.reserve(total);  // one growth for all lanes
     } else {
       out.append_table(lane.table);
     }
@@ -453,16 +466,16 @@ std::size_t Query::run_once() {
       }
     }
 
+    // Thread workers parent their operator spans under the batch span
+    // as re-homed above.
+    batch_ctx_ = batch_span.context();
+
     chaos::fault_point("pipeline.batch");
-    if (faults_.fail_on_batch && metrics_.batches == *faults_.fail_on_batch) {
-      faults_.fail_on_batch.reset();
-      throw std::runtime_error("injected fault");
-    }
 
     run_phase(Phase::kDecode);
     check_worker_errors();
     // Rows are accounted in decoded-table terms (chunked topics pack many
-    // rows per record), matching StreamingQuery's rows_ingested.
+    // rows per record), not in broker records.
     pulled = 0;
     for (const Lane& lane : lanes_) pulled += lane.table.num_rows();
     // Global watermark reduction: max over lane maxima. Every lane then
@@ -477,8 +490,7 @@ std::size_t Query::run_once() {
     check_worker_errors();
 
     // Merge the lanes' stage accounting (one RunningStats sample per
-    // generation, summed across lanes — comparable to the single-chain
-    // numbers StreamingQuery reports).
+    // generation, summed across lanes, so the numbers read as one chain).
     flight_emit(0, FlightEventType::kPhaseBegin, FlightPhase::kMerge);
     Stopwatch merge_sw;
     for (std::size_t i = 0; i < metrics_.stages.size(); ++i) {
@@ -595,9 +607,8 @@ std::uint64_t Query::run_until_caught_up(std::size_t max_batches) {
 void Query::finalize() {
   // Drain stateful lane operators in ascending partition order: flush op
   // i, push the result through the remaining stages, then op i+1 — twice,
-  // because downstream stateful ops may still hold the pushed rows.
-  // Same recipe as StreamingQuery::finalize, per lane, so the output is a
-  // pure function of lane state (worker count invisible).
+  // because downstream stateful ops may still hold the pushed rows. The
+  // output is a pure function of lane state (worker count invisible).
   for (int pass = 0; pass < 2; ++pass) {
     for (Lane& lane : lanes_) {
       for (std::size_t i = 0; i < lane.ops.size(); ++i) {
@@ -611,6 +622,56 @@ void Query::finalize() {
     }
   }
   for (pipeline::Sink* s : sinks_) s->flush();
+}
+
+void Query::checkpoint_to(storage::ObjectStore& store, const std::string& key,
+                          common::TimePoint now) const {
+  common::ByteWriter w;
+  w.str(config_.name);
+  w.i64(watermark_);
+  w.varint(lanes_.size());
+  for (const Lane& lane : lanes_) {
+    w.varint(lane.ops.size());
+    for (const auto& op : lane.ops) {
+      const auto state = op->checkpoint_state();
+      w.varint(state.size());
+      w.raw(state.data(), state.size());
+    }
+  }
+  store.put(key, w.take(), "checkpoints", storage::DataClass::kBronze, now);
+}
+
+bool Query::restore_from(const storage::ObjectStore& store, const std::string& key) {
+  const auto blob = store.get(key);
+  if (!blob) return false;
+  // Parse and validate the whole blob before touching any state, so a
+  // mismatched or truncated checkpoint leaves the query as it was.
+  common::ByteReader r(*blob);
+  const std::string name = r.str();
+  if (name != config_.name) {
+    throw std::runtime_error("Query: checkpoint '" + key + "' belongs to query '" + name +
+                             "', not '" + config_.name + "'");
+  }
+  const common::TimePoint watermark = r.i64();
+  if (r.varint() != lanes_.size()) {
+    throw std::runtime_error("Query: checkpoint '" + key + "' lane count differs from the " +
+                             std::to_string(lanes_.size()) + " partitions of '" + topic_ + "'");
+  }
+  std::vector<std::vector<std::span<const std::uint8_t>>> states(lanes_.size());
+  for (std::size_t p = 0; p < lanes_.size(); ++p) {
+    if (r.varint() != lanes_[p].ops.size()) {
+      throw std::runtime_error("Query: checkpoint '" + key + "' operator count mismatch");
+    }
+    for (std::size_t i = 0; i < lanes_[p].ops.size(); ++i) states[p].push_back(r.raw(r.varint()));
+  }
+  for (std::size_t p = 0; p < lanes_.size(); ++p) {
+    for (std::size_t i = 0; i < lanes_[p].ops.size(); ++i) {
+      lanes_[p].ops[i]->restore_state(states[p][i]);
+    }
+  }
+  watermark_ = watermark;
+  seek_all_members();  // resume from the group's committed offsets
+  return true;
 }
 
 std::int64_t Query::lag() const {

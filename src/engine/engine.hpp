@@ -52,6 +52,7 @@
 #include "pipeline/operator.hpp"
 #include "pipeline/query.hpp"
 #include "pipeline/source_sink.hpp"
+#include "storage/object_store.hpp"
 #include "stream/broker.hpp"
 
 namespace oda::engine {
@@ -174,19 +175,22 @@ struct WorkerStats {
   std::uint64_t handoffs = 0;      ///< lane results handed to the merge point
 };
 
-/// One sharded pipeline: a worker team owning a topic's partitions
-/// end-to-end, per-partition operator chains, and a deterministic merge
-/// point feeding the sinks. Construction happens through
-/// Engine::add_query(); stages chain fluently like StreamingQuery's.
+/// One sharded pipeline (source → operators → sinks, the Fig 4-b anatomy):
+/// a worker team owning a topic's partitions end-to-end, per-partition
+/// operator chains, and a deterministic merge point feeding the sinks.
+/// This is the framework's only executor: Engine::add_query() builds
+/// teams of any size, and core::OdaFramework constructs its canonical
+/// pipelines directly with a team of one.
 ///
-/// run_once() is a transaction with exactly the StreamingQuery contract:
-/// sinks begin before the pull; any failure (worker exception, injected
-/// chaos fault, legacy FaultPlan) rolls back every lane's operator
-/// state and sink output and reseeks the members, so the replay
-/// re-produces byte-identical output; a batch that keeps failing is
-/// dead-lettered after max_retries. Never throws on infrastructure
-/// faults. Drive it from ONE thread (the engine's scheduler does);
-/// kill_worker() and stats accessors are driver-thread calls too.
+/// run_once() is a transaction: sinks begin before the pull; any failure
+/// (worker exception, injected chaos fault) rolls back every lane's
+/// operator state and sink output and reseeks the members, so the replay
+/// re-produces byte-identical output — exactly-once into transactional
+/// sinks for batches that eventually commit. A batch that keeps failing
+/// is dead-lettered after max_retries (at-most-once for that batch
+/// only). Never throws on infrastructure faults. Drive it from ONE
+/// thread (the engine's scheduler does); kill_worker(), checkpoints and
+/// stats accessors are driver-thread calls too.
 class Query {
  public:
   Query(pipeline::QueryConfig config, const SourceSpec& spec, std::size_t workers,
@@ -217,10 +221,24 @@ class Query {
   /// sinks, in ascending partition order (end of stream).
   void finalize();
 
+  /// Durable checkpoint of the watermark and every lane's operator state
+  /// into the object store (offsets are already durable in the broker's
+  /// committed-offset store). The blob holds the query name, the
+  /// watermark, the lane count and each lane's operator states; lanes are
+  /// partitions, so a checkpoint restores into a team of any size.
+  void checkpoint_to(storage::ObjectStore& store, const std::string& key,
+                     common::TimePoint now) const;
+  /// Restore a checkpoint written by checkpoint_to() and seek every
+  /// member to the group's committed offsets, so a restarted process
+  /// resumes exactly where the group left off. Returns false when no
+  /// checkpoint exists under `key`. Throws std::runtime_error on a name,
+  /// lane-count or operator-count mismatch and std::out_of_range on a
+  /// truncated blob, in both cases before any state is touched.
+  bool restore_from(const storage::ObjectStore& store, const std::string& key);
+
   const pipeline::QueryMetrics& metrics() const { return metrics_; }
   const std::string& name() const { return config_.name; }
   common::TimePoint watermark() const { return watermark_; }
-  void set_fault_plan(pipeline::FaultPlan plan) { faults_ = plan; }
   const chaos::RetryStats& retry_stats() const { return retrier_.stats(); }
 
   std::int64_t lag() const;
@@ -345,7 +363,6 @@ class Query {
   pipeline::QueryMetrics metrics_;
   common::TimePoint watermark_ = INT64_MIN;
   common::TimePoint watermark_snapshot_ = INT64_MIN;
-  pipeline::FaultPlan faults_;
   std::size_t consecutive_failures_ = 0;
 
   // Flight recorder (nullable = recording off) + driver-side phase
@@ -451,3 +468,11 @@ class Engine {
 };
 
 }  // namespace oda::engine
+
+namespace oda::pipeline {
+
+/// Old name of the executor. e2e_bench/facility.cpp names this type and is
+/// kept byte-stable for the benchmark, so the alias stays until it moves.
+using StreamingQuery = engine::Query;
+
+}  // namespace oda::pipeline

@@ -3,7 +3,7 @@
 // fixed-capacity per-series rings of raw samples plus multi-resolution
 // rollups (1-minute and 10-minute min/max/avg/count buckets), the same
 // raw→downsample ladder the facility's LAKE applies to sensor data
-// (DESIGN.md §9). Populated by the _oda.metrics StreamingQuery, queried
+// (DESIGN.md §9). Populated by the _oda.history query, queried
 // by oda_monitor (--watch sparklines, --history range dumps).
 //
 // All timestamps are virtual facility time, so a store fed by a

@@ -130,8 +130,8 @@ class Span {
 
   /// Late remote adoption: if this span started a fresh trace (no local
   /// parent) and `remote` is valid, re-home it under the remote span.
-  /// Used by StreamingQuery::run_once, which only learns the incoming
-  /// context after the source pull.
+  /// Used by engine::Query::run_once, which only learns the incoming
+  /// context after the fetch.
   void link(TraceContext remote);
 
   void tag(std::string key, std::string value);

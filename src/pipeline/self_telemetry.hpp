@@ -1,10 +1,12 @@
 // The self-telemetry loop's back half (DESIGN.md §9): factories that bind
 // the observe-layer Scraper to real broker producers on the reserved
-// `_oda.*` topics, and a StreamingQuery that folds `_oda.metrics` back
-// into an observe::HistoryStore through the same micro-batch transaction
-// machinery facility data uses — so the framework's own telemetry
-// exercises broker, pipeline and storage end to end and inherits their
-// exactly-once / golden-run guarantees.
+// `_oda.*` topics, plus the decoder and sink of the query that folds
+// `_oda.metrics` back into an observe::HistoryStore through the same
+// micro-batch transaction machinery facility data uses — so the
+// framework's own telemetry exercises broker, pipeline and storage end to
+// end and inherits their exactly-once / golden-run guarantees. The query
+// itself is core::make_history_query (core/framework.hpp): it runs on
+// engine::Query, which links this library.
 #pragma once
 
 #include <memory>
@@ -14,7 +16,6 @@
 #include "common/faults.hpp"
 #include "observe/history.hpp"
 #include "observe/scraper.hpp"
-#include "pipeline/query.hpp"
 #include "pipeline/source_sink.hpp"
 #include "storage/object_store.hpp"
 #include "stream/broker.hpp"
@@ -75,17 +76,6 @@ std::unique_ptr<observe::Scraper> make_scraper(observe::MetricsRegistry& registr
                                                stream::Broker& broker,
                                                observe::ScraperConfig config = {},
                                                chaos::RetryPolicy retry = {});
-
-/// The history half: a StreamingQuery subscribed to `_oda.metrics`
-/// (consumer group "_oda.history") decoding samples into `store` through
-/// a HistorySink. Runs anywhere a query runs: the framework's advance
-/// loop, standalone run_until_caught_up(), or an engine scheduler slot.
-/// `config.name` defaults to "_oda.history" when left at QueryConfig's
-/// default.
-std::unique_ptr<StreamingQuery> make_history_query(stream::Broker& broker,
-                                                   observe::HistoryStore& store,
-                                                   QueryConfig config = {},
-                                                   chaos::RetryPolicy retry = {});
 
 /// Persist gold rollups: one columnar object per resolution under
 /// `dataset`/<resolution>, DataClass::kGold, covering every retained

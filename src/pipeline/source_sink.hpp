@@ -1,5 +1,6 @@
-// Pipeline endpoints. Sources pull micro-batches from broker topics;
-// sinks land refined artifacts in LAKE, OCEAN, another topic, or memory.
+// Pipeline endpoints. The executor (engine::Query) pulls micro-batches
+// from broker topics and decodes them with a RecordDecoder; sinks land
+// refined artifacts in LAKE, OCEAN, another topic, or memory.
 #pragma once
 
 #include <functional>
@@ -8,7 +9,6 @@
 #include <vector>
 
 #include "common/faults.hpp"
-#include "observe/trace.hpp"
 #include "sql/table.hpp"
 #include "storage/object_store.hpp"
 #include "storage/tsdb.hpp"
@@ -22,75 +22,13 @@ namespace oda::pipeline {
 /// sql::Table. Code holding owned records adapts with stream::as_views().
 using RecordDecoder = std::function<sql::Table(std::span<const stream::RecordView>)>;
 
-class Source {
- public:
-  virtual ~Source() = default;
-  /// Pull up to max_records; empty table when caught up.
-  virtual sql::Table pull(std::size_t max_records) = 0;
-  /// Persist read positions (called after the sink commits a batch).
-  virtual void commit() = 0;
-  /// Revert to last committed positions (failure recovery).
-  virtual void rewind() = 0;
-  virtual std::int64_t lag() const = 0;
-  /// Trace context carried by the most recent pull (the first record's
-  /// stamped producer span), for continuing the producer's trace across
-  /// the broker hop. {} when tracing is off or the batch was empty.
-  virtual observe::TraceContext incoming_trace() const { return {}; }
-};
-
-/// Reads a broker topic through any Subscription — a whole-topic Consumer
-/// (the single-threaded default) or a rebalancing GroupMember (engine
-/// workers), injected by the caller. Polls retry under the retry policy:
-/// a faulted fetch ("stream.fetch") may have advanced the subscription's
-/// positions partway through the topic's partitions, so every retry first
-/// restores the committed positions. Decode happens outside the retry
-/// loop — a payload that cannot decode is poison, not a transient
-/// infrastructure error.
-class BrokerSource final : public Source {
- public:
-  BrokerSource(std::unique_ptr<stream::Subscription> sub, RecordDecoder decoder,
-               chaos::RetryPolicy retry = {})
-      : sub_(std::move(sub)), decoder_(std::move(decoder)), retrier_(retry, /*seed=*/0xb20ce2ull) {}
-
-  /// Convenience: subscribe a whole-topic Consumer (note the historical
-  /// (topic, group) argument order, kept for the many existing call sites).
-  BrokerSource(stream::Broker& broker, std::string topic, std::string group, RecordDecoder decoder,
-               chaos::RetryPolicy retry = {})
-      : BrokerSource(std::make_unique<stream::Consumer>(broker, std::move(group), std::move(topic)),
-                     std::move(decoder), retry) {}
-
-  sql::Table pull(std::size_t max_records) override {
-    // Zero-copy pull: the poll returns pinned views; the decoder reads
-    // them in place and only the decoded Table survives this frame.
-    const stream::FetchView records = retrier_.run(
-        "pipeline.pull", [&] { return sub_->poll(max_records); },
-        [&] { sub_->seek_to_committed(); });
-    incoming_ = records.empty()
-                    ? observe::TraceContext{}
-                    : observe::TraceContext{records.front().trace_id, records.front().span_id};
-    return decoder_(records.records());
-  }
-  void commit() override { sub_->commit(); }
-  void rewind() override { sub_->seek_to_committed(); }
-  std::int64_t lag() const override { return sub_->lag(); }
-  observe::TraceContext incoming_trace() const override { return incoming_; }
-  const chaos::RetryStats& retry_stats() const { return retrier_.stats(); }
-  stream::Subscription& subscription() { return *sub_; }
-
- private:
-  std::unique_ptr<stream::Subscription> sub_;
-  RecordDecoder decoder_;
-  chaos::Retrier retrier_;
-  observe::TraceContext incoming_;
-};
-
 /// Sinks participate in the micro-batch transaction protocol:
 ///
 ///   begin_batch(); write()...; commit_batch()   — or rollback_batch().
 ///
 /// All fallible I/O (including internal retries) happens in write();
 /// commit_batch() and rollback_batch() MUST be infallible — they only
-/// adjust in-memory bookkeeping, which is what lets StreamingQuery
+/// adjust in-memory bookkeeping, which is what lets engine::Query
 /// guarantee exactly-once output across fault-driven batch replays.
 /// Sinks used without brackets (direct write calls) behave as before:
 /// every write lands immediately.
@@ -248,7 +186,7 @@ class OceanSink final : public Sink {
 /// A produced record cannot be unpublished, so the batch protocol dedupes
 /// instead of undoing: each write inside a batch is numbered, and the
 /// high-water mark of already-published writes survives rollback. When
-/// StreamingQuery replays the batch (deterministically — same input rows,
+/// engine::Query replays the batch (deterministically — same input rows,
 /// same operator state), writes below the mark are skipped rather than
 /// re-published. Publishing itself retries at the "pipeline.sink" seam.
 /// If the batch is ultimately dead-lettered after a partial publish, the

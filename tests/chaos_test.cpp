@@ -9,14 +9,16 @@
 #include <algorithm>
 #include <cmath>
 #include <memory>
+#include <optional>
 #include <string>
 #include <vector>
 
 #include "common/bytes.hpp"
 #include "common/faults.hpp"
+#include "core/framework.hpp"
+#include "engine/engine.hpp"
+#include "observe/export.hpp"
 #include "pipeline/operator.hpp"
-#include "pipeline/query.hpp"
-#include "pipeline/source_sink.hpp"
 #include "storage/archive.hpp"
 #include "storage/object_store.hpp"
 #include "storage/tiers.hpp"
@@ -224,6 +226,16 @@ struct FlowResult {
   std::uint64_t dropped_records = 0;
 };
 
+/// The silver stage's 15-second window aggregate, one per lane.
+engine::OperatorFactory w15_factory() {
+  return [] {
+    return std::make_unique<pipeline::WindowAggOp>(
+        "w15", "time", 15 * kSecond, std::vector<std::string>{"node_id", "sensor"},
+        std::vector<sql::AggSpec>{{"value", sql::AggKind::kMean, "mean_value"},
+                                  {"value", sql::AggKind::kCount, "samples"}});
+  };
+}
+
 /// Run the full flow: simulate ~2 minutes of a tiny facility, refine the
 /// power stream Bronze→Silver (windowed agg) into a silver topic + OCEAN
 /// + memory, and consume the silver topic downstream. If `plan` is given
@@ -247,13 +259,12 @@ FlowResult run_flow(std::uint64_t seed, chaos::FaultPlan* plan) {
   // still being injected, not only during the clean finalize().
   qc.allowed_lateness = 20 * kSecond;
   qc.max_retries = 0;  // poison-free flow: replay until the batch commits
-  pipeline::StreamingQuery q(qc, std::make_unique<pipeline::BrokerSource>(
-                                     broker, sim.topics().power, "chaos-silver",
-                                     telemetry::packets_to_bronze, rp));
-  q.add_operator(std::make_unique<pipeline::WindowAggOp>(
-      "w15", "time", 15 * kSecond, std::vector<std::string>{"node_id", "sensor"},
-      std::vector<sql::AggSpec>{{"value", sql::AggKind::kMean, "mean_value"},
-                                {"value", sql::AggKind::kCount, "samples"}}));
+  engine::Query q(
+      qc,
+      engine::SourceSpec{&broker, sim.topics().power, "chaos-silver", telemetry::packets_to_bronze,
+                         rp},
+      1);
+  q.add_operator(w15_factory());
   auto table_sink = std::make_unique<pipeline::TableSink>();
   const auto* silver_table = table_sink.get();
   q.add_sink(std::make_unique<pipeline::TopicSink>(broker, "silver.chaos", rp));
@@ -265,9 +276,11 @@ FlowResult run_flow(std::uint64_t seed, chaos::FaultPlan* plan) {
   qc2.name = "chaos_downstream";
   qc2.time_column = "window_start";
   qc2.max_retries = 0;
-  pipeline::StreamingQuery q2(qc2, std::make_unique<pipeline::BrokerSource>(
-                                       broker, "silver.chaos", "chaos-down",
-                                       pipeline::decode_columnar_records, rp));
+  engine::Query q2(
+      qc2,
+      engine::SourceSpec{&broker, "silver.chaos", "chaos-down", pipeline::decode_columnar_records,
+                         rp},
+      1);
   auto down_sink = std::make_unique<pipeline::TableSink>();
   const auto* down_table = down_sink.get();
   q2.add_sink(std::move(down_sink));
@@ -371,13 +384,10 @@ TEST(ChaosFlowTest, SinkOutageRollsBackThenRecoversExactlyOnce) {
   qc.max_records_per_batch = 500;
   qc.allowed_lateness = 20 * kSecond;  // must match run_flow's golden config
   qc.max_retries = 0;  // never dead-letter; wait out the outage
-  pipeline::StreamingQuery q(qc, std::make_unique<pipeline::BrokerSource>(
-                                     broker, sim.topics().power, "outage",
-                                     telemetry::packets_to_bronze));
-  q.add_operator(std::make_unique<pipeline::WindowAggOp>(
-      "w15", "time", 15 * kSecond, std::vector<std::string>{"node_id", "sensor"},
-      std::vector<sql::AggSpec>{{"value", sql::AggKind::kMean, "mean_value"},
-                                {"value", sql::AggKind::kCount, "samples"}}));
+  engine::Query q(
+      qc, engine::SourceSpec{&broker, sim.topics().power, "outage", telemetry::packets_to_bronze},
+      1);
+  q.add_operator(w15_factory());
   auto table_sink = std::make_unique<pipeline::TableSink>();
   const auto* silver_table = table_sink.get();
   q.add_sink(std::make_unique<pipeline::OceanSink>(ocean, "silver/chaos",
@@ -420,9 +430,8 @@ TEST(ChaosFlowTest, HardFaultsDeadLetterWithoutCrashing) {
   qc.name = "hard";
   qc.max_records_per_batch = 200;
   qc.max_retries = 2;  // dead-letter quickly
-  pipeline::StreamingQuery q(qc, std::make_unique<pipeline::BrokerSource>(
-                                     broker, sim.topics().power, "hard",
-                                     telemetry::packets_to_bronze));
+  engine::Query q(
+      qc, engine::SourceSpec{&broker, sim.topics().power, "hard", telemetry::packets_to_bronze}, 1);
   auto sink = std::make_unique<pipeline::TableSink>();
   const auto* table = sink.get();
   q.add_sink(std::move(sink));
@@ -436,7 +445,7 @@ TEST(ChaosFlowTest, HardFaultsDeadLetterWithoutCrashing) {
   EXPECT_GT(q.metrics().batches_skipped, 0u);
   EXPECT_GT(q.metrics().failures, 0u);
   EXPECT_GT(table->table().num_rows(), 0u);  // the healthy remainder flowed
-  EXPECT_EQ(q.source().lag(), 0);            // and the query fully caught up
+  EXPECT_EQ(q.lag(), 0);                     // and the query fully caught up
 }
 
 TEST(ChaosFlowTest, CollectionDropsAreCountedNotFatal) {
@@ -470,6 +479,88 @@ TEST(ChaosFlowTest, CollectionDropsAreCountedNotFatal) {
   // Broker back up: deliveries resume.
   sim.run_until(kMinute);
   EXPECT_GT(sim.channel().stats().delivered_records, 0u);
+}
+
+// --- the framework's own pipelines under chaos ------------------------------
+
+/// Everything the framework commits: the LAKE CSV of each metric, every
+/// OCEAN object (key and bytes), and the `_oda.history` dump of the
+/// committed-progress series (wall-clock and failure series differ
+/// between a faulted and a clean run by design).
+struct FrameworkOutput {
+  std::vector<std::string> lake_csv;
+  std::vector<std::pair<std::string, std::vector<std::uint8_t>>> ocean;
+  std::string history;
+};
+
+FrameworkOutput run_framework(chaos::FaultPlan* plan) {
+  observe::default_registry().reset_values();
+  observe::set_virtual_now(0);
+  core::OdaFramework fw;
+  telemetry::SimulatorConfig sim;
+  sim.seed = 42;
+  const std::string sys = fw.add_system(telemetry::mountain_spec(0.004), sim).spec().name;
+  fw.register_query(fw.make_bronze_to_silver_power(sys));
+  fw.register_query(fw.make_silver_to_lake(sys, "node.power_w", "node_power_w"));
+  fw.register_query(fw.make_silver_to_lake_max(sys, "gpu", ".temp_c", "gpu_temp_max_c"));
+  fw.register_query(fw.make_bronze_archiver(sys));
+  fw.register_query(fw.make_ost_to_lake(sys));
+  fw.register_query(fw.make_fabric_to_lake(sys));
+  fw.enable_self_telemetry();
+  {
+    std::optional<chaos::ScopedFaultPlan> scoped;
+    if (plan != nullptr) scoped.emplace(*plan);
+    fw.advance(3 * kMinute);
+  }
+  // Clean shutdown: flush open windows and buffered objects.
+  fw.flush_self_telemetry();
+  for (const auto& q : fw.queries()) q->finalize();
+
+  FrameworkOutput out;
+  for (const char* metric : {"node_power_w", "gpu_temp_max_c", "ost_latency_ms", "switch_stall_pct"}) {
+    storage::TsQuery q;
+    q.metric = metric;
+    out.lake_csv.push_back(sql::to_csv(fw.lake().query(q)));
+  }
+  for (const auto& meta : fw.ocean().list()) out.ocean.emplace_back(meta.key, *fw.ocean().get(meta.key));
+  const observe::HistoryStore& history = *fw.history();
+  for (const auto& series : history.series_names()) {
+    if (series.rfind("pipeline.rows.ingested{", 0) != 0 && series.rfind("pipeline.batches{", 0) != 0 &&
+        series.rfind("pipeline.watermark{", 0) != 0) {
+      continue;
+    }
+    out.history += observe::history_to_text(history, series, INT64_MIN, INT64_MAX,
+                                            observe::Resolution::kRaw);
+  }
+  return out;
+}
+
+TEST(ChaosFlowTest, FrameworkPipelinesExactlyOnceUnderChaos) {
+  const FrameworkOutput golden = run_framework(nullptr);
+  ASSERT_FALSE(golden.ocean.empty());
+  for (const auto& csv : golden.lake_csv) EXPECT_GT(csv.size(), 64u);
+  EXPECT_NE(golden.history.find("pipeline.rows.ingested{query=bronze_to_silver_power."),
+            std::string::npos);
+  EXPECT_NE(golden.history.find("pipeline.watermark{query=silver_to_lake."), std::string::npos);
+
+  for (const std::uint64_t seed : {3, 17}) {
+    SCOPED_TRACE("seed=" + std::to_string(seed));
+    // Transient faults only, rare enough that no batch reaches the
+    // dead-letter budget (5 consecutive failures) and no fetch exhausts
+    // its retries for long.
+    chaos::FaultPlan plan(seed);
+    chaos::SiteConfig cfg;
+    cfg.transient_p = 0.05;
+    plan.configure("pipeline.batch", cfg);
+    cfg.transient_p = 0.02;
+    plan.configure("stream.fetch", cfg);
+    const FrameworkOutput faulty = run_framework(&plan);
+    EXPECT_GT(plan.site_stats("pipeline.batch").transient_faults, 0u);
+    EXPECT_GT(plan.site_stats("stream.fetch").transient_faults, 0u);
+    EXPECT_EQ(faulty.lake_csv, golden.lake_csv);
+    EXPECT_EQ(faulty.ocean, golden.ocean);
+    EXPECT_EQ(faulty.history, golden.history);
+  }
 }
 
 TEST(ChaosTiersTest, MigrationDefersUnderFaultsThenCompletes) {

@@ -184,6 +184,26 @@ TEST(BytesTest, ReadPastEndThrows) {
   EXPECT_THROW(r.varint(), std::out_of_range);
 }
 
+TEST(BytesTest, ForgedLengthNearTwoToThe64Throws) {
+  // A leading varint 1, then a ten-byte varint decoding to 2^64 - 1, then
+  // one payload byte: pos + length wraps around, so only a check against
+  // the remaining bytes catches it.
+  std::vector<std::uint8_t> blob{0x01};
+  blob.insert(blob.end(), 9, 0xFF);
+  blob.push_back(0x01);
+  blob.push_back('x');
+  {
+    ByteReader r(blob);
+    ASSERT_EQ(r.varint(), 1u);
+    EXPECT_THROW(r.str(), std::out_of_range);
+  }
+  {
+    ByteReader r(blob);
+    ASSERT_EQ(r.varint(), 1u);
+    EXPECT_THROW(r.raw(r.varint()), std::out_of_range);
+  }
+}
+
 TEST(BytesTest, Fnv1aStableAndSensitive) {
   EXPECT_EQ(fnv1a("abc"), fnv1a("abc"));
   EXPECT_NE(fnv1a("abc"), fnv1a("abd"));

@@ -66,6 +66,11 @@ TEST_F(FrameworkTest, PipelineStageMetricsPopulated) {
   EXPECT_GT(q.metrics().batches, 0u);
   EXPECT_GT(q.metrics().stages[0].rows_in, 0u);
   EXPECT_GT(q.metrics().stages[0].rows_out, 0u);
+  // Every framework pipeline runs on the engine, so each one shows up in
+  // the engine's phase profile.
+  for (const auto& query : fw_.queries()) {
+    EXPECT_GT(query->phase_profile().accounted_s(), 0.0) << query->name();
+  }
 }
 
 TEST_F(FrameworkTest, ExtractJobProfilesFindsFinishedJobs) {

@@ -5,8 +5,8 @@
 
 #include <cmath>
 
+#include "engine/engine.hpp"
 #include "ml/nn.hpp"
-#include "pipeline/query.hpp"
 #include "sql/agg.hpp"
 #include "sql/expr.hpp"
 #include "sql/ops.hpp"
@@ -113,9 +113,10 @@ TEST(EwmaOpTest, InsideStreamingQuery) {
   }
   pipeline::QueryConfig qc;
   qc.name = "smooth";
-  pipeline::StreamingQuery q(qc, std::make_unique<pipeline::BrokerSource>(
-                                     broker, "in", "g", pipeline::decode_columnar_records));
-  q.add_operator(std::make_unique<pipeline::EwmaOp>("ewma", std::vector<std::string>{}, "v", 0.2));
+  engine::Query q(qc, engine::SourceSpec{&broker, "in", "g", pipeline::decode_columnar_records},
+                  1);
+  q.add_operator(
+      [] { return std::make_unique<pipeline::EwmaOp>("ewma", std::vector<std::string>{}, "v", 0.2); });
   auto sink = std::make_unique<pipeline::TableSink>();
   auto* out = sink.get();
   q.add_sink(std::move(sink));

@@ -16,6 +16,7 @@
 #include <vector>
 
 #include "common/faults.hpp"
+#include "core/framework.hpp"
 #include "engine/engine.hpp"
 #include "observe/export.hpp"
 #include "observe/history.hpp"
@@ -23,7 +24,6 @@
 #include "observe/scraper.hpp"
 #include "observe/trace.hpp"
 #include "pipeline/operator.hpp"
-#include "pipeline/query.hpp"
 #include "pipeline/self_telemetry.hpp"
 #include "pipeline/source_sink.hpp"
 #include "sql/agg.hpp"
@@ -249,7 +249,7 @@ std::vector<std::uint8_t> run_with_history(std::size_t workers, chaos::FaultPlan
   q.finalize();
 
   observe::HistoryStore history;
-  auto history_query = pipeline::make_history_query(
+  auto history_query = core::make_history_query(
       broker, history, pipeline::QueryConfig{}.with_max_retries(0), retry);
   history_query->run_until_caught_up();
 
@@ -338,24 +338,6 @@ TEST(EngineTest, MultiQueryChainDrainsAcrossRounds) {
   const EngineStats stats = engine.stats();
   EXPECT_GE(stats.rounds, 2u);  // downstream needed at least one later round
   EXPECT_EQ(stats.rows, 2 * kRecords);
-}
-
-TEST(EngineTest, BrokerSourceAcceptsAnySubscription) {
-  // BrokerSource programs against stream::Subscription, so a
-  // single-threaded query can read through a rebalancing GroupMember.
-  stream::Broker broker;
-  auto& topic = broker.create_topic("subs", stream::TopicConfig{}.with_partitions(4));
-  fill_topic(topic);
-
-  auto member = std::make_unique<stream::GroupMember>(broker, "subs-group", "subs");
-  pipeline::StreamingQuery q(pipeline::QueryConfig{}.with_name("subs.query"),
-                             std::make_unique<pipeline::BrokerSource>(std::move(member), decode));
-  auto sink = std::make_unique<pipeline::TableSink>();
-  pipeline::TableSink* sink_ptr = sink.get();
-  q.add_sink(std::move(sink));
-
-  q.run_until_caught_up();
-  EXPECT_EQ(sink_ptr->table().num_rows(), kRecords);
 }
 
 TEST(EngineTest, TeamClampsToPartitionCount) {

@@ -12,13 +12,13 @@
 
 #include "apps/oda_monitor.hpp"
 #include "common/faults.hpp"
+#include "engine/engine.hpp"
 #include "observe/chaos_bridge.hpp"
 #include "observe/export.hpp"
 #include "observe/lag.hpp"
 #include "observe/metrics.hpp"
 #include "observe/slo.hpp"
 #include "observe/trace.hpp"
-#include "pipeline/query.hpp"
 #include "storage/tiers.hpp"
 #include "stream/broker.hpp"
 #include "telemetry/collection.hpp"
@@ -258,8 +258,7 @@ TEST(TraceTest, TraceContinuesAcrossBrokerHopIntoPipeline) {
 
   pipeline::QueryConfig qc;
   qc.name = "obs";
-  pipeline::StreamingQuery q(
-      qc, std::make_unique<pipeline::BrokerSource>(broker, "t", "g", decode_simple));
+  engine::Query q(qc, engine::SourceSpec{&broker, "t", "g", decode_simple}, 1);
   q.add_transform("ident", storage::DataClass::kSilver, [](const Table& t) { return t; });
   q.add_sink(std::make_unique<pipeline::TableSink>());
   ASSERT_EQ(q.run_once(), 10u);
@@ -524,8 +523,7 @@ std::vector<std::pair<std::string, std::int64_t>> traced_flow_fingerprint(std::u
   pipeline::QueryConfig qc;
   qc.name = "det";
   qc.max_records_per_batch = 128;
-  pipeline::StreamingQuery q(
-      qc, std::make_unique<pipeline::BrokerSource>(broker, "d", "g", decode_simple));
+  engine::Query q(qc, engine::SourceSpec{&broker, "d", "g", decode_simple}, 1);
   q.add_transform("ident", storage::DataClass::kSilver, [](const Table& t) { return t; });
   auto sink = std::make_unique<pipeline::TableSink>();
   const auto* table = sink.get();

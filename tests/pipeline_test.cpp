@@ -1,14 +1,16 @@
-// Tests for the micro-batch streaming engine: window operator watermark
+// Tests for the micro-batch pipeline: window operator watermark
 // semantics, exactly-once emission, batch rollback/recovery, dead-letter
-// policy, sinks, and batch-vs-stream equivalence.
+// policy, sinks, and batch-vs-stream equivalence, run on engine::Query
+// with a team of one.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <cstdio>
 #include <stdexcept>
 
+#include "common/faults.hpp"
 #include "common/rng.hpp"
-#include "pipeline/query.hpp"
+#include "engine/engine.hpp"
 #include "sql/expr.hpp"
 #include "sql/ops.hpp"
 #include "storage/columnar.hpp"
@@ -195,7 +197,7 @@ TEST(WindowAggOpTest, CheckpointStateRoundTrips) {
   }
 }
 
-// ---- StreamingQuery end-to-end over a broker --------------------------------
+// ---- engine::Query end-to-end over a broker ---------------------------------
 
 struct QueryRig {
   stream::Broker broker;
@@ -211,10 +213,9 @@ struct QueryRig {
     rec.payload.assign(reinterpret_cast<const char*>(blob.data()), blob.size());
     in_producer.produce(std::move(rec));
   }
-  std::unique_ptr<StreamingQuery> make_query(QueryConfig qc = {}) {
-    auto q = std::make_unique<StreamingQuery>(
-        qc, std::make_unique<BrokerSource>(broker, "in", "g", decode_columnar_records));
-    return q;
+  std::unique_ptr<engine::Query> make_query(QueryConfig qc = {}) {
+    return std::make_unique<engine::Query>(
+        qc, engine::SourceSpec{&broker, "in", "g", decode_columnar_records}, 1);
   }
 };
 
@@ -242,9 +243,10 @@ TEST(StreamingQueryTest, EndToEndWindowedSum) {
   QueryRig rig;
   for (int i = 0; i < 40; ++i) rig.produce(i * kSecond, 1.0);
   auto q = rig.make_query();
-  q->add_operator(std::make_unique<WindowAggOp>(
-      "w", "time", 10 * kSecond, std::vector<std::string>{},
-      std::vector<sql::AggSpec>{{"v", sql::AggKind::kSum, "s"}}));
+  q->add_operator([] {
+    return std::make_unique<WindowAggOp>("w", "time", 10 * kSecond, std::vector<std::string>{},
+                                         std::vector<sql::AggSpec>{{"v", sql::AggKind::kSum, "s"}});
+  });
   auto sink = std::make_unique<TableSink>();
   auto* out = sink.get();
   q->add_sink(std::move(sink));
@@ -263,14 +265,20 @@ TEST(StreamingQueryTest, InjectedFaultRecoversWithoutLossOrDuplication) {
   QueryConfig qc;
   qc.max_records_per_batch = 10;
   auto q = rig.make_query(qc);
-  q->add_operator(std::make_unique<WindowAggOp>(
-      "w", "time", 10 * kSecond, std::vector<std::string>{},
-      std::vector<sql::AggSpec>{{"v", sql::AggKind::kSum, "s"}}));
+  q->add_operator([] {
+    return std::make_unique<WindowAggOp>("w", "time", 10 * kSecond, std::vector<std::string>{},
+                                         std::vector<sql::AggSpec>{{"v", sql::AggKind::kSum, "s"}});
+  });
   auto sink = std::make_unique<TableSink>();
   auto* out = sink.get();
   q->add_sink(std::move(sink));
-  q->set_fault_plan({2});  // fail the third batch once
-  q->run_until_caught_up();
+  // Fail the third batch once at the "pipeline.batch" seam.
+  chaos::FaultPlan plan(1);
+  plan.configure("pipeline.batch", {.transient_p = 1.0, .skip_first = 2, .max_faults = 1});
+  {
+    chaos::ScopedFaultPlan scoped(plan);
+    q->run_until_caught_up();
+  }
   q->finalize();
   EXPECT_EQ(q->metrics().failures, 1u);
   double total = 0.0;
@@ -338,9 +346,10 @@ TEST(StreamingQueryTest, StreamEqualsBatchResult) {
   QueryConfig qc;
   qc.max_records_per_batch = 37;  // odd size to shuffle batch boundaries
   auto q = rig.make_query(qc);
-  q->add_operator(std::make_unique<WindowAggOp>(
-      "w", "time", 15 * kSecond, std::vector<std::string>{},
-      std::vector<sql::AggSpec>{{"v", sql::AggKind::kSum, "s"}}));
+  q->add_operator([] {
+    return std::make_unique<WindowAggOp>("w", "time", 15 * kSecond, std::vector<std::string>{},
+                                         std::vector<sql::AggSpec>{{"v", sql::AggKind::kSum, "s"}});
+  });
   auto sink = std::make_unique<TableSink>();
   auto* out = sink.get();
   q->add_sink(std::move(sink));

@@ -5,8 +5,8 @@
 
 #include "apps/health_dashboard.hpp"
 #include "core/framework.hpp"
+#include "engine/engine.hpp"
 #include "governance/constellation.hpp"
-#include "pipeline/query.hpp"
 #include "storage/columnar.hpp"
 #include "telemetry/interconnect.hpp"
 
@@ -96,49 +96,73 @@ TEST_F(InterconnectTest, CodecsRoundTrip) {
 
 // ---- durable checkpoints -----------------------------------------------
 
-TEST(DurableCheckpointTest, RestartResumesWindowState) {
+/// A topic of one-row columnar records and the keyed 10-second window sum
+/// the checkpoint tests run over it. Keys spread rows over the topic's
+/// partitions, so each lane carries its own open windows; a batch is large
+/// enough to read everything produced so far, so no lane runs ahead of
+/// another in event time and no row arrives behind the watermark.
+struct CheckpointRig {
   stream::Broker broker;
-  broker.create_topic("in", {1, 1 << 20, {}});
-  auto produce = [&, producer = broker.producer("in")](common::TimePoint t, double v) mutable {
-    Table row{Schema{{"time", DataType::kInt64}, {"v", DataType::kFloat64}}};
-    row.append_row({Value(t), Value(v)});
+  storage::ObjectStore store;
+
+  explicit CheckpointRig(std::size_t partitions = 1) {
+    broker.create_topic("in", stream::TopicConfig{}.with_partitions(partitions));
+  }
+
+  void produce(common::TimePoint t, double v, const std::string& node = "n0") {
+    Table row{Schema{{"time", DataType::kInt64}, {"node", DataType::kString},
+                     {"v", DataType::kFloat64}}};
+    row.append_row({Value(t), Value(node), Value(v)});
     stream::Record rec;
     rec.timestamp = t;
+    rec.key = node;
     const auto blob = storage::write_columnar(row);
     rec.payload.assign(reinterpret_cast<const char*>(blob.data()), blob.size());
-    producer.produce(std::move(rec));
-  };
-  auto make_query = [&] {
-    pipeline::QueryConfig qc;
-    qc.name = "ckpt-query";
-    auto q = std::make_unique<pipeline::StreamingQuery>(
-        qc, std::make_unique<pipeline::BrokerSource>(broker, "in", "g",
-                                                     pipeline::decode_columnar_records));
-    q->add_operator(std::make_unique<pipeline::WindowAggOp>(
-        "w", "time", 10 * kSecond, std::vector<std::string>{},
-        std::vector<sql::AggSpec>{{"v", sql::AggKind::kSum, "s"}}));
-    return q;
-  };
+    broker.producer("in").produce(std::move(rec));
+  }
+  /// Seconds [from, to) for eight nodes.
+  void produce_range(int from, int to) {
+    for (int i = from; i < to; ++i) {
+      for (int n = 0; n < 8; ++n) {
+        produce(i * kSecond, static_cast<double>(i * 8 + n), "n" + std::to_string(n));
+      }
+    }
+  }
 
-  storage::ObjectStore checkpoints;
+  std::unique_ptr<engine::Query> make_query(std::size_t workers = 1,
+                                            const std::string& name = "ckpt-query",
+                                            const std::string& topic = "in") {
+    auto q = std::make_unique<engine::Query>(
+        pipeline::QueryConfig{}.with_name(name).with_batch_size(1024),
+        engine::SourceSpec{&broker, topic, "g", pipeline::decode_columnar_records}, workers);
+    q->add_operator([] {
+      return std::make_unique<pipeline::WindowAggOp>(
+          "w", "time", 10 * kSecond, std::vector<std::string>{"node"},
+          std::vector<sql::AggSpec>{{"v", sql::AggKind::kSum, "s"}});
+    });
+    return q;
+  }
+};
+
+TEST(DurableCheckpointTest, RestartResumesWindowState) {
+  CheckpointRig rig;
   // First incarnation: consume a partial window, checkpoint, "crash".
-  for (int i = 0; i < 5; ++i) produce(i * kSecond, 1.0);
+  for (int i = 0; i < 5; ++i) rig.produce(i * kSecond, 1.0);
   {
-    auto q1 = make_query();
-    auto sink = std::make_unique<pipeline::TableSink>();
-    q1->add_sink(std::move(sink));
+    auto q1 = rig.make_query();
+    q1->add_sink(std::make_unique<pipeline::TableSink>());
     q1->run_until_caught_up();
-    q1->checkpoint_to(checkpoints, "ckpt/q1", 0);
+    q1->checkpoint_to(rig.store, "ckpt/q1", 0);
   }  // q1 destroyed: process gone
 
   // Second incarnation restores and finishes the window.
-  for (int i = 5; i < 10; ++i) produce(i * kSecond, 1.0);
-  produce(20 * kSecond, 0.0);  // watermark pusher
-  auto q2 = make_query();
+  for (int i = 5; i < 10; ++i) rig.produce(i * kSecond, 1.0);
+  rig.produce(20 * kSecond, 0.0);  // watermark pusher
+  auto q2 = rig.make_query();
   auto sink2 = std::make_unique<pipeline::TableSink>();
   auto* out = sink2.get();
   q2->add_sink(std::move(sink2));
-  ASSERT_TRUE(q2->restore_from(checkpoints, "ckpt/q1"));
+  ASSERT_TRUE(q2->restore_from(rig.store, "ckpt/q1"));
   q2->run_until_caught_up();
   q2->finalize();
 
@@ -153,22 +177,83 @@ TEST(DurableCheckpointTest, RestartResumesWindowState) {
 }
 
 TEST(DurableCheckpointTest, MissingAndMismatchedCheckpoints) {
-  stream::Broker broker;
-  broker.create_topic("in", {1, 1 << 20, {}});
-  storage::ObjectStore store;
+  CheckpointRig rig;
+  auto qa = rig.make_query(1, "a");
+  EXPECT_FALSE(qa->restore_from(rig.store, "nope"));
 
-  pipeline::QueryConfig qc;
-  qc.name = "a";
-  pipeline::StreamingQuery qa(qc, std::make_unique<pipeline::BrokerSource>(
-                                      broker, "in", "g", pipeline::decode_columnar_records));
-  EXPECT_FALSE(qa.restore_from(store, "nope"));
+  qa->checkpoint_to(rig.store, "ckpt/a", 0);
+  auto qb = rig.make_query(1, "b");
+  EXPECT_THROW(qb->restore_from(rig.store, "ckpt/a"), std::runtime_error);
+}
 
-  qa.checkpoint_to(store, "ckpt/a", 0);
-  pipeline::QueryConfig qc2;
-  qc2.name = "b";
-  pipeline::StreamingQuery qb(qc2, std::make_unique<pipeline::BrokerSource>(
-                                       broker, "in", "g2", pipeline::decode_columnar_records));
-  EXPECT_THROW(qb.restore_from(store, "ckpt/a"), std::runtime_error);
+/// Committed sink bytes of the keyed window sum over 40 seconds of input,
+/// produced in two halves. With `restart`, the first incarnation (team of
+/// `before`) checkpoints after the first half and is destroyed; a second
+/// incarnation (team of `after`) restores and finishes into the same sink.
+std::vector<std::uint8_t> window_sums(bool restart, std::size_t before, std::size_t after) {
+  CheckpointRig rig(4);
+  pipeline::TableSink sink;
+  rig.produce_range(0, 25);
+  auto q = rig.make_query(before);
+  q->add_sink_ref(sink);
+  q->run_until_caught_up();
+  if (restart) {
+    q->checkpoint_to(rig.store, "ckpt/q", 0);
+    q.reset();
+  }
+  rig.produce_range(25, 40);
+  if (restart) {
+    q = rig.make_query(after);
+    q->add_sink_ref(sink);
+    EXPECT_TRUE(q->restore_from(rig.store, "ckpt/q"));
+  }
+  q->run_until_caught_up();
+  q->finalize();
+  EXPECT_EQ(sink.table().num_rows(), 4u * 8u);  // 4 windows x 8 nodes
+  return storage::write_columnar(sink.table());
+}
+
+TEST(DurableCheckpointTest, RestoreIntoAnyTeamSizeIsByteIdentical) {
+  const auto uninterrupted = window_sums(false, 1, 1);
+  EXPECT_EQ(window_sums(true, 1, 4), uninterrupted);
+  EXPECT_EQ(window_sums(true, 4, 1), uninterrupted);
+}
+
+TEST(DurableCheckpointTest, LaneCountMismatchThrows) {
+  CheckpointRig rig;
+  rig.broker.create_topic("in4", stream::TopicConfig{}.with_partitions(4));
+  rig.make_query(1, "q", "in")->checkpoint_to(rig.store, "ckpt/q", 0);
+  auto wide = rig.make_query(1, "q", "in4");
+  EXPECT_THROW(wide->restore_from(rig.store, "ckpt/q"), std::runtime_error);
+}
+
+TEST(DurableCheckpointTest, TruncatedBlobThrowsAndLeavesQueryUsable) {
+  CheckpointRig rig;
+  for (int i = 0; i < 5; ++i) rig.produce(i * kSecond, 1.0);
+  {
+    auto q1 = rig.make_query();
+    q1->run_until_caught_up();
+    q1->checkpoint_to(rig.store, "ckpt/q1", 0);
+  }
+  auto blob = *rig.store.get("ckpt/q1");
+  ASSERT_GT(blob.size(), 1u);
+  blob.pop_back();
+  rig.store.put("ckpt/cut", blob, "checkpoints", storage::DataClass::kBronze, 0);
+
+  auto q2 = rig.make_query();
+  auto sink = std::make_unique<pipeline::TableSink>();
+  auto* out = sink.get();
+  q2->add_sink(std::move(sink));
+  EXPECT_THROW(q2->restore_from(rig.store, "ckpt/cut"), std::out_of_range);
+  EXPECT_EQ(q2->watermark(), INT64_MIN);
+
+  // Still usable: the good checkpoint restores and the run completes.
+  for (int i = 5; i < 10; ++i) rig.produce(i * kSecond, 1.0);
+  ASSERT_TRUE(q2->restore_from(rig.store, "ckpt/q1"));
+  q2->run_until_caught_up();
+  q2->finalize();
+  ASSERT_EQ(out->table().num_rows(), 1u);
+  EXPECT_DOUBLE_EQ(out->table().column("s").double_at(0), 10.0);
 }
 
 // ---- Constellation ------------------------------------------------------

@@ -454,7 +454,7 @@ TEST(SelfTelemetryPipelineTest, ScrapeFlowsThroughBrokerIntoHistory) {
   MetricsRegistry reg;
   HistoryStore store;
   auto scraper = pipeline::make_scraper(reg, broker, ScraperConfig{});
-  auto query = pipeline::make_history_query(broker, store);
+  auto query = core::make_history_query(broker, store);
   EXPECT_TRUE(broker.has_topic(stream::kMetricsTopic));
   EXPECT_TRUE(broker.has_topic(stream::kAlertsTopic));
 
@@ -477,7 +477,7 @@ TEST(SelfTelemetryPipelineTest, PoisonRecordsAreCountedAndSkipped) {
   stream::Broker broker;
   HistoryStore store;
   broker.create_topic(stream::kMetricsTopic);
-  auto query = pipeline::make_history_query(broker, store);
+  auto query = core::make_history_query(broker, store);
 
   Counter* errors = default_registry().counter("selfobs.decode.errors");
   const double before = static_cast<double>(errors->value());
@@ -501,7 +501,7 @@ std::string chaotic_history_dump(bool with_faults) {
   MetricsRegistry reg;
   HistoryStore store;
   auto scraper = pipeline::make_scraper(reg, broker, ScraperConfig{});
-  auto query = pipeline::make_history_query(broker, store);
+  auto query = core::make_history_query(broker, store);
 
   chaos::FaultPlan plan(0xda7a);
   if (with_faults) {

@@ -71,7 +71,7 @@ TEST(SoakTest, PipelineDrainsLargeBacklog) {
   auto& q = fw.register_query(fw.make_bronze_to_silver_power("Compass"));
   const std::uint64_t rows = q.run_until_caught_up();
   EXPECT_GT(rows, 150000u);  // 128 nodes * 24 sensors * 1500 s, minus loss
-  EXPECT_EQ(q.source().lag(), 0);
+  EXPECT_EQ(q.lag(), 0);
   EXPECT_EQ(q.metrics().failures, 0u);
   EXPECT_GT(q.metrics().batches, 10u);
 }
